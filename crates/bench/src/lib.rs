@@ -545,9 +545,9 @@ pub mod incremental_suite {
     ///   rollback point, and it bounds the reported speedup from below);
     /// * `employment/clone/100` — the session clone alone, to make the
     ///   clone share of the batch rows visible;
-    /// * `employment/from_scratch/100` — the partitioned engine re-chasing
-    ///   the same accumulated source from scratch: the latency an
-    ///   incremental batch replaces.
+    /// * `employment/from_scratch/100` — the partitioned engine (one batch
+    ///   on a fresh session) re-chasing the same accumulated source from
+    ///   scratch: the latency an incremental batch replaces.
     pub fn cases() -> Vec<Case> {
         let mut out: Vec<Case> = Vec::new();
         for persons in [50usize, 100] {

@@ -5,11 +5,11 @@
 //!
 //! 1. **The coordinator kernel** — the restricted-chase check machinery
 //!    ([`Check`], [`classify_check`], [`TgdFolder`]) and the union-find
-//!    merge fold ([`fold_merge_ops`]). [`ChaseEngine::PartitionedParallel`],
-//!    [`ChaseEngine::Distributed`] and the
+//!    merge fold ([`fold_merge_ops`]). [`ChaseEngine::Distributed`] and the
 //!    [`IncrementalExchange`](crate::chase::incremental::IncrementalExchange)
-//!    session all fold their enumerated matches through these same
-//!    routines; only *where the enumeration ran* differs.
+//!    session (which also runs the local engines) fold their enumerated
+//!    matches through these same routines; only *where the enumeration
+//!    ran* differs.
 //! 2. **[`DistributedCluster`]** — the coordinator-side handle to a set of
 //!    partition servers behind any [`Transport`] backend: delta-only
 //!    `ApplyDelta` shipping against per-server retained-prefix watermarks,
@@ -121,8 +121,8 @@ pub(crate) enum Check {
 }
 
 /// Classifies the restricted-chase check tier for a tgd head (see
-/// [`Check`]). Shared by the partitioned and distributed batch engines and
-/// the incremental session — one classification, three call sites.
+/// [`Check`]). Shared by the distributed batch engine and the incremental
+/// session — one classification, two call sites.
 pub(crate) fn classify_check(head: &[Atom], existentials: &[Var], tgt: &Schema) -> Result<Check> {
     if existentials.is_empty() {
         return Ok(Check::Direct);
@@ -250,7 +250,7 @@ pub(crate) fn fold_merge_ops(
 /// The coordinator-side tgd step folder: takes enumerated homomorphisms
 /// (from worker tasks or partition servers — anywhere), applies the
 /// restricted-chase check and inserts head facts with fresh annotated
-/// nulls. One instance per chase; both batch engines fold through it.
+/// nulls. One instance per chase of the distributed batch engine.
 pub(crate) struct TgdFolder<'a> {
     mapping: &'a SchemaMapping,
     checks: Vec<(Check, Vec<Var>)>,
@@ -1610,8 +1610,8 @@ pub fn c_chase_distributed_with(
         }
     };
 
-    // Same coarse timeline partition as the partitioned engine: the count
-    // is a locality knob, independent of the server count, which keeps the
+    // A coarse timeline partition of the source endpoints: the count is a
+    // locality knob, independent of the server count, which keeps the
     // result byte-identical across cluster sizes.
     let parts_hint = 16;
     let tp = TimelinePartition::new(&ic.endpoints().coarsen(parts_hint));
@@ -1913,7 +1913,7 @@ mod tests {
     fn matches_the_sequential_engine_across_server_counts() {
         let mapping = paper_mapping();
         let source = figure4(&mapping);
-        let seq = c_chase_with(&source, &mapping, &ChaseOptions::default()).unwrap();
+        let seq = c_chase_with(&source, &mapping, &ChaseOptions::legacy_scan()).unwrap();
         for servers in [1usize, 2, 3, 5] {
             let dist =
                 c_chase_with(&source, &mapping, &ChaseOptions::distributed(servers)).unwrap();

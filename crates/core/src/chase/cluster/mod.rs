@@ -2,9 +2,9 @@
 //! (`ChaseEngine::Distributed { servers }`), as a layered cluster
 //! subsystem.
 //!
-//! The partitioned engine (`chase/partitioned.rs`) already confines every
-//! shared-interval match to one timeline partition and ships round changes
-//! through the delta log; this subsystem distributes those partitions
+//! A shared-interval match binds every atom to one interval, so it lives
+//! in one timeline partition, and rounds ship their changes as delta
+//! blocks (`chase/partitioned.rs`); this subsystem distributes those partitions
 //! across **partition servers** and turns the remaining coupling into an
 //! explicit message protocol over pluggable carriers. The layers, bottom
 //! up:
@@ -55,5 +55,4 @@ pub use transport::{
 
 pub(crate) use coordinator::{
     classify_check, fold_merge_ops, is_transport_error, memo_probe_key, register_memo, Check,
-    TgdFolder,
 };

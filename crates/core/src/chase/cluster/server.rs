@@ -261,7 +261,7 @@ impl ServerState {
             splits[r] = split;
         }
         let (image, splits) = (&self.image[store.idx()], &self.splits[store.idx()]);
-        let built = ShardedFactStore::build_with_delta(schema, tp, 1, false, |rel| {
+        let built = ShardedFactStore::build_with_delta(schema, tp, false, |rel| {
             let r = rel.0 as usize;
             image[r].split_at(splits[r])
         });

@@ -16,36 +16,43 @@
 //!
 //! Theorem 19 / Corollary 20: a successful result `J_c` satisfies
 //! `⟦J_c⟧ ∼ chase(⟦I_c⟧)`.
+//!
+//! [`c_chase_with`] runs this pipeline literally, over the whole instance,
+//! only for [`ChaseEngine::LegacyScan`]: it is the reference the tests
+//! check every other engine against. The local engines chase the source as
+//! one batch of an
+//! [`IncrementalExchange`](crate::chase::incremental::IncrementalExchange)
+//! session, whose result is hom-equivalent (Corollary 20 asks no more).
 
 use crate::error::{Result, TdxError};
 use crate::normalize::{naive_normalize, normalize_with};
 use std::sync::Arc;
-use tdx_logic::{Atom, SchemaMapping, Term, Var};
+use tdx_logic::{Atom, SchemaMapping, Term, Tgd, Var};
 use tdx_storage::fxhash::FxHashMap;
-use tdx_storage::{
-    Generation, NullGen, NullId, SearchOptions, TemporalInstance, TemporalMode, Value,
-};
+use tdx_storage::{NullGen, NullId, SearchOptions, TemporalInstance, TemporalMode, Value};
 use tdx_temporal::Interval;
 
-/// Which join engine the c-chase runs on.
+/// Which engine the c-chase runs on.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum ChaseEngine {
-    /// Index-probed joins (eager column indexes, interval-endpoint indexes)
-    /// plus **semi-naive** egd rounds: after the first round, egd bodies
-    /// join only against the facts changed by the previous round.
+    /// The session kernel: the source is chased as one batch of a fresh
+    /// [`IncrementalExchange`](crate::chase::incremental::IncrementalExchange)
+    /// — dirty-interval joins over the working fact lists, incremental
+    /// Algorithm-1 re-fragmentation, and **semi-naive** egd rounds that
+    /// join only against the facts the previous round changed. Worker
+    /// threads resolve as for `PartitionedParallel { threads: 0 }`.
     #[default]
     IndexedSemiNaive,
-    /// The pre-`FactStore` behavior: full relation scans, every egd round
-    /// re-enumerates every match. Kept as the equivalence oracle for tests
-    /// and the ablation baseline for benches.
+    /// The Definition-16 reference: the four steps of the c-chase run
+    /// literally over the whole instance, with full relation scans, and
+    /// every egd round re-enumerates every match and re-normalizes the
+    /// whole target. Slow on purpose; the oracle of the equivalence tests
+    /// and the ablation baseline of the benches.
     LegacyScan,
-    /// Timeline-partitioned evaluation over a
-    /// [`ShardedFactStore`](tdx_storage::ShardedFactStore): match work fans
-    /// out per partition (and per hash shard in the tgd phase) onto scoped
-    /// worker threads, egd/renormalization fixpoints run per partition with
-    /// boundary-crossing facts reconciled through replicas, and rounds ship
-    /// their changes through the delta log. Results are hom-equivalent to
-    /// [`ChaseEngine::IndexedSemiNaive`]. See `docs/parallelism.md`.
+    /// The session kernel of [`ChaseEngine::IndexedSemiNaive`] with an
+    /// explicit worker-thread count for Algorithm-1 discovery. Its task
+    /// decomposition does not depend on the count, so results are
+    /// byte-identical across thread counts. See `docs/parallelism.md`.
     PartitionedParallel {
         /// Worker threads; `0` resolves from `TDX_CHASE_THREADS` or the
         /// machine's available parallelism (see
@@ -59,8 +66,8 @@ pub enum ChaseEngine {
     /// (in-process channels or TCP child processes — see
     /// [`ChaseOptions::transport`]), while the coordinator keeps the
     /// global union-find and the normalization fixpoints.
-    /// Hom-equivalent to [`ChaseEngine::PartitionedParallel`] and
-    /// byte-identical across server counts and transports. See
+    /// Hom-equivalent to the reference and byte-identical across server
+    /// counts and transports. See
     /// `docs/distributed.md` and `docs/transport.md`.
     Distributed {
         /// Partition servers; `0` resolves from `TDX_CHASE_SERVERS`, then
@@ -87,8 +94,9 @@ pub struct ChaseOptions {
     pub coalesce_result: bool,
     /// Record a human-readable step trace in the result.
     pub record_trace: bool,
-    /// The join engine (indexed semi-naive by default; the legacy full-scan
-    /// path is kept for equivalence tests and ablation benches).
+    /// The engine (the one-batch session kernel by default; the
+    /// Definition-16 reference is kept for equivalence tests and ablation
+    /// benches).
     pub engine: ChaseEngine,
     /// Transport backend for [`ChaseEngine::Distributed`]: `None` resolves
     /// from `TDX_CHASE_TRANSPORT` (default: in-process channels). Ignored
@@ -196,8 +204,8 @@ pub struct ChaseStats {
     pub target_facts_normalized: usize,
     /// Egd merge rounds executed.
     pub egd_rounds: usize,
-    /// Egd rounds that ran delta-restricted (semi-naive engine only; the
-    /// first round is always a full enumeration).
+    /// Egd rounds that ran delta-restricted (not on the reference engine;
+    /// the first round is always a full enumeration).
     pub egd_delta_rounds: usize,
     /// Individual value identifications performed.
     pub egd_merges: usize,
@@ -382,46 +390,65 @@ fn align_shared_nulls(target: &TemporalInstance) -> TemporalInstance {
     out
 }
 
-/// Rebuilds `new` so that the facts already present in `old` come first,
-/// seals a generation, then appends the changed facts. The returned
-/// generation's delta is exactly "what the last egd round changed" — new
-/// fragments included — which is what the semi-naive rounds join against.
-fn mark_delta_against(
-    new: &TemporalInstance,
-    old: &TemporalInstance,
-) -> (TemporalInstance, Generation) {
-    let mut out = TemporalInstance::new(new.schema_arc());
-    for (rel, fact) in new.iter_all() {
-        if old.contains(rel, &fact.data, fact.interval) {
-            out.insert(rel, Arc::clone(&fact.data), fact.interval);
-        }
-    }
-    let gen = out.mark_generation();
-    for (rel, fact) in new.iter_all() {
-        if !old.contains(rel, &fact.data, fact.interval) {
-            out.insert(rel, Arc::clone(&fact.data), fact.interval);
-        }
-    }
-    (out, gen)
-}
-
 /// Runs the c-chase of `ic` w.r.t. `mapping` with default options.
 pub fn c_chase(ic: &TemporalInstance, mapping: &SchemaMapping) -> Result<CChaseResult> {
     c_chase_with(ic, mapping, &ChaseOptions::default())
 }
 
 /// Runs the c-chase with explicit options.
+///
+/// The local engines ([`ChaseEngine::IndexedSemiNaive`] and
+/// [`ChaseEngine::PartitionedParallel`]) chase `ic` as one batch on a fresh
+/// [`IncrementalExchange`](crate::chase::incremental::IncrementalExchange)
+/// built from `opts`: the session's dirty-interval joins and
+/// delta-restricted egd rounds are the production kernel, and a one-batch
+/// session reaches a result hom-equivalent to the abstract chase
+/// (Corollary 20) without the whole-instance re-normalizations of the
+/// literal pipeline. [`ChaseEngine::Distributed`] runs the
+/// partition-server batch loop. [`ChaseEngine::LegacyScan`] runs the four
+/// steps of Definition 16 literally over the whole instance — the
+/// reference the tests check every other engine against.
 pub fn c_chase_with(
     ic: &TemporalInstance,
     mapping: &SchemaMapping,
     opts: &ChaseOptions,
 ) -> Result<CChaseResult> {
-    if let ChaseEngine::PartitionedParallel { threads } = opts.engine {
-        return crate::chase::partitioned::c_chase_partitioned(ic, mapping, opts, threads);
+    match opts.engine {
+        ChaseEngine::IndexedSemiNaive | ChaseEngine::PartitionedParallel { .. } => {
+            crate::chase::incremental::chase_as_one_batch(ic, mapping, opts)
+        }
+        ChaseEngine::Distributed { servers } => {
+            crate::chase::cluster::coordinator::c_chase_distributed(ic, mapping, opts, servers)
+        }
+        ChaseEngine::LegacyScan => c_chase_reference(ic, mapping, opts),
     }
-    if let ChaseEngine::Distributed { servers } = opts.engine {
-        return crate::chase::cluster::coordinator::c_chase_distributed(ic, mapping, opts, servers);
-    }
+}
+
+/// The trace line of one fired tgd step: the tgd, the shared interval and
+/// the head facts the step placed.
+pub(crate) fn narrate_tgd_step(tgd: &Tgd, env: &[(Var, Value)], iv: Interval) -> String {
+    format!(
+        "tgd step {} on {iv}: {}",
+        tgd.name.as_deref().unwrap_or("σ"),
+        tgd.head
+            .iter()
+            .map(|a| {
+                let vals: Vec<String> = instantiate(a, env).iter().map(|v| v.to_string()).collect();
+                format!("{}({}, {iv})", a.relation, vals.join(", "))
+            })
+            .collect::<Vec<_>>()
+            .join(", ")
+    )
+}
+
+/// Definition 16 step by step over the whole instance: normalize the
+/// source, fire every tgd step, normalize the target, then run egd rounds
+/// that each re-enumerate every match and re-normalize the whole target.
+fn c_chase_reference(
+    ic: &TemporalInstance,
+    mapping: &SchemaMapping,
+    opts: &ChaseOptions,
+) -> Result<CChaseResult> {
     let mut stats = ChaseStats {
         source_facts_in: ic.total_len(),
         ..ChaseStats::default()
@@ -482,23 +509,7 @@ pub fn c_chase_with(
                 target.insert(rel, instantiate(atom, &env).into(), iv);
             }
             stats.tgd_steps += 1;
-            log(
-                opts,
-                &mut trace,
-                format!(
-                    "tgd step {} on {iv}: {}",
-                    tgd.name.as_deref().unwrap_or("σ"),
-                    tgd.head
-                        .iter()
-                        .map(|a| {
-                            let vals: Vec<String> =
-                                instantiate(a, &env).iter().map(|v| v.to_string()).collect();
-                            format!("{}({}, {iv})", a.relation, vals.join(", "))
-                        })
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                ),
-            );
+            log(opts, &mut trace, narrate_tgd_step(tgd, &env, iv));
         }
     }
     stats.nulls_created = nulls.peek();
@@ -554,38 +565,25 @@ pub fn c_chase_with(
         ),
     );
 
-    // Step 4: egd c-chase steps to fixpoint.
-    //
-    // Semi-naive engine: the first round enumerates every match; each later
-    // round joins only against the delta of the previous round's rewrite
-    // (changed and re-fragmented facts). That is sound because a match whose
-    // image consists solely of unchanged facts was already enumerated — and
-    // its identification applied — in an earlier round, so revisiting it
-    // would find `a == b` and do nothing; a constant/constant conflict among
-    // unchanged facts would likewise have failed the chase already.
-    let semi_naive = opts.engine == ChaseEngine::IndexedSemiNaive;
-    let mut delta_gen: Option<Generation> = None;
+    // Step 4: egd c-chase steps to fixpoint. Every round re-enumerates
+    // every match of every egd body over the whole target.
     loop {
         let mut uf = AnnotatedUnionFind::new();
         let mut merges = 0usize;
         let mut conflict: Option<(String, UfKey, UfKey, Interval)> = None;
         for egd in mapping.egds() {
-            let mut on_match = |m: &tdx_storage::Match<'_>| {
+            target.find_matches_with(&egd.body, TemporalMode::Shared, &[], None, sopts, |m| {
                 let iv = m.shared_interval().expect("temporal store binds t");
                 let a = m.value(egd.lhs).expect("egd lhs in body");
                 let b = m.value(egd.rhs).expect("egd rhs in body");
                 if a == b {
                     return true;
                 }
-                let ka = match a {
+                let key = |v: Value| match v {
                     Value::Const(c) => UfKey::Const(c),
                     Value::Null(n) => UfKey::Null(n, iv),
                 };
-                let kb = match b {
-                    Value::Const(c) => UfKey::Const(c),
-                    Value::Null(n) => UfKey::Null(n, iv),
-                };
-                match uf.union(ka, kb) {
+                match uf.union(key(a), key(b)) {
                     Ok(()) => {
                         merges += 1;
                         true
@@ -600,30 +598,7 @@ pub fn c_chase_with(
                         false
                     }
                 }
-            };
-            match delta_gen {
-                Some(gen) => {
-                    target.find_matches_delta(
-                        &egd.body,
-                        TemporalMode::Shared,
-                        &[],
-                        None,
-                        sopts,
-                        gen,
-                        &mut on_match,
-                    )?;
-                }
-                None => {
-                    target.find_matches_with(
-                        &egd.body,
-                        TemporalMode::Shared,
-                        &[],
-                        None,
-                        sopts,
-                        &mut on_match,
-                    )?;
-                }
-            }
+            })?;
             if conflict.is_some() {
                 break;
             }
@@ -645,32 +620,21 @@ pub fn c_chase_with(
         }
         stats.egd_rounds += 1;
         stats.egd_merges += merges;
-        if delta_gen.is_some() {
-            stats.egd_delta_rounds += 1;
-        }
         log(
             opts,
             &mut trace,
             format!("egd round {}: {} identifications", stats.egd_rounds, merges),
         );
-        let previous = target;
-        let mut next = previous.map_values(|v, fact_iv| uf.resolve(v, fact_iv));
-        if opts.renormalize_between_egd_rounds {
+        let next = target.map_values(|v, fact_iv| uf.resolve(v, fact_iv));
+        target = if opts.renormalize_between_egd_rounds {
             // Rewriting can merge bases (new sharing) and create new data
             // joins — restore both invariants.
-            next = refragment(&next, opts)?;
+            refragment(&next, opts)?
         } else {
             // Even in paper-faithful mode the annotated-null bookkeeping
             // must stay coherent: keep sibling occurrences aligned.
-            next = align_shared_nulls(&next);
-        }
-        if semi_naive {
-            let (reordered, gen) = mark_delta_against(&next, &previous);
-            target = reordered;
-            delta_gen = Some(gen);
-        } else {
-            target = next;
-        }
+            align_shared_nulls(&next)
+        };
     }
 
     if opts.coalesce_result {

@@ -1,19 +1,25 @@
 //! Incremental cross-shard exchange: delta-batch re-chase over a
 //! materialized target.
 //!
-//! [`IncrementalExchange`] is a stateful session around the partitioned
-//! c-chase: it keeps the chased target materialized between calls, accepts
-//! [`DeltaBatch`]es of source insertions (and interval-refining updates),
-//! and brings the target back to a chase fixpoint by re-running tgd/egd
-//! work only where the batch actually landed, instead of chasing the whole
-//! source from scratch.
+//! [`IncrementalExchange`] is a stateful c-chase session: it keeps the
+//! chased target materialized between calls, accepts [`DeltaBatch`]es of
+//! source insertions (and interval-refining updates), and brings the target
+//! back to a chase fixpoint by re-running tgd/egd work only where the batch
+//! actually landed, instead of chasing the whole source from scratch.
+//!
+//! The session is also the local batch engine: [`c_chase_with`] runs
+//! `IndexedSemiNaive` and `PartitionedParallel` as one batch of the whole
+//! source on a fresh session ([`chase_as_one_batch`]), where every fact
+//! starts out fresh and the steps below reduce to the full c-chase.
+//!
+//! [`c_chase_with`]: crate::chase::concrete::c_chase_with
 //!
 //! # How a batch is absorbed
 //!
 //! 1. **Incremental renormalization.** The batch's facts join the
-//!    normalized source's delta block and run through the same
-//!    [`refragment_lists`] fixpoint the partitioned engine uses between egd
-//!    rounds: Algorithm-1 cut discovery restricted to images touching a
+//!    normalized source's delta block and run through the
+//!    [`refragment_lists`] fixpoint the egd rounds use too:
+//!    Algorithm-1 cut discovery restricted to images touching a
 //!    *fresh* fact, so long-settled source facts are only re-fragmented
 //!    when a new fact actually joins them.
 //! 2. **Delta-scoped tgd matching.** A [`TemporalMode::Shared`] match binds
@@ -22,12 +28,12 @@
 //!    The session joins per dirty interval (a strictly finer unit than the
 //!    dirty timeline partitions of the sharded store) and requires every
 //!    emitted match to touch the delta block, which is exactly the
-//!    `PartScope::OwnerDelta` pivot decomposition of the partitioned
-//!    engine, evaluated against the working fact lists with no store build
+//!    `PartScope::OwnerDelta` pivot decomposition the partition servers
+//!    use, evaluated against the working fact lists with no store build
 //!    on the fast path.
 //! 3. **Restricted checks across batches.** "Has this hom an extension into
 //!    the target?" must consult everything previous batches produced. The
-//!    session keeps the partitioned engine's per-tgd memo sets *persistent*:
+//!    session keeps the coordinator kernel's per-tgd memo sets *persistent*:
 //!    a memo entry `(determined values, interval)` records that a covering
 //!    head fact was inserted, and neither egd rewriting (values only get
 //!    more specific) nor re-fragmentation (fragments cover their original)
@@ -40,8 +46,8 @@
 //!    union-find and re-fragment via [`refragment_lists`]. A match among
 //!    settled facts needs no revisit: the previous batch left them at an
 //!    egd fixpoint, so re-enumerating it would find both sides already
-//!    equal — the semi-naive argument of the partitioned engine, carried
-//!    across batches.
+//!    equal — the semi-naive argument within one chase, carried across
+//!    batches.
 //! 5. **Breakpoint maintenance.** The timeline partition is re-coarsened
 //!    when the endpoint histogram shifts (endpoint count doubled, or the
 //!    per-partition endpoint distribution became badly imbalanced —
@@ -54,14 +60,19 @@
 //! consistent) and returns the failure, staying usable.
 //!
 //! The correctness oracle is hom-equivalence to a from-scratch chase of the
-//! accumulated source after every batch (`tests/incremental.rs`); the
-//! argument is spelled out in `docs/incremental.md`.
+//! accumulated source after every batch, run on the Definition-16
+//! reference (`ChaseEngine::LegacyScan`) so the session is never checked
+//! against itself (`tests/incremental.rs`); the argument is spelled out in
+//! `docs/incremental.md`.
 
 use crate::chase::cluster::{
     classify_check, fold_merge_ops, is_transport_error, memo_probe_key, resolve_transport,
     spawner_for, Check, DistributedCluster, Hom, MergeOp, TrafficStats, TransportSpawner,
 };
-use crate::chase::concrete::{instantiate, AnnotatedUnionFind, ChaseEngine, ChaseOptions, UfKey};
+use crate::chase::concrete::{
+    instantiate, narrate_tgd_step, AnnotatedUnionFind, CChaseResult, ChaseEngine, ChaseOptions,
+    ChaseStats, UfKey,
+};
 use crate::chase::partitioned::{fact_at, refragment_lists, rewrite_values, FactLists};
 use crate::error::{Result, TdxError};
 use crate::query::cache::{DirtySet, QueryService};
@@ -163,14 +174,25 @@ pub struct BatchStats {
     pub batch_facts: usize,
     /// Normalized-source facts changed by the batch (fragments included).
     pub source_delta: usize,
+    /// Normalized-source facts after the batch.
+    pub normalized_source_facts: usize,
     /// Tgd homomorphisms enumerated at dirty intervals.
     pub tgd_matches: usize,
     /// Tgd steps fired (restricted-check survivors).
     pub tgd_steps: usize,
     /// New target facts the tgd phase inserted.
     pub target_new_facts: usize,
+    /// Target facts right after the tgd phase: the settled target plus the
+    /// batch's new facts, before egd-body normalization.
+    pub target_facts_after_tgd: usize,
+    /// Target facts after the egd-body normalization, before the first egd
+    /// round.
+    pub target_facts_normalized: usize,
     /// Egd merge rounds run.
     pub egd_rounds: usize,
+    /// Egd rounds whose matching skipped a settled block: all but a fresh
+    /// session's first round, which joins the whole target.
+    pub egd_delta_rounds: usize,
     /// Value identifications performed.
     pub egd_merges: usize,
     /// Timeline partitions the batch touched (dirtied).
@@ -187,6 +209,9 @@ pub struct BatchStats {
     pub full_rechase: bool,
     /// Materialized target size after the batch.
     pub target_facts: usize,
+    /// Step narration, recorded only when
+    /// [`ChaseOptions::record_trace`] is set.
+    pub trace: Vec<String>,
 }
 
 /// Session-level counters. `batches` and `full_rechases` are cumulative
@@ -893,9 +918,13 @@ impl IncrementalExchange {
         }
         if batch_facts == 0 {
             self.stats.batches += 1;
+            let target_facts = self.target_len();
             return Ok(BatchStats {
+                normalized_source_facts: self.nsrc.iter().map(Vec::len).sum(),
+                target_facts_after_tgd: target_facts,
+                target_facts_normalized: target_facts,
                 partitions: self.tp.len(),
-                target_facts: self.target_len(),
+                target_facts,
                 ..BatchStats::default()
             });
         }
@@ -1122,6 +1151,13 @@ impl IncrementalExchange {
             stats.recoarsened = true;
         }
         stats.partitions = self.tp.len();
+        let tracing = self.opts.record_trace;
+        if tracing {
+            stats.trace.push(format!(
+                "{} timeline partitions, {} threads",
+                stats.partitions, self.threads
+            ));
+        }
 
         // Drop batch facts already present verbatim in the normalized
         // source — re-asserting an existing fragment discovers no cut, so
@@ -1151,6 +1187,7 @@ impl IncrementalExchange {
         // the fresh seed; settled facts re-fragment only when a new image
         // touches them.
         let tgd_bodies = self.mapping.tgd_bodies();
+        let source_before: usize = self.nsrc.iter().chain(fresh.iter()).map(Vec::len).sum();
         let pre = std::mem::take(&mut self.nsrc);
         let (npre, ndelta) = refragment_lists(
             &self.src_schema,
@@ -1163,6 +1200,14 @@ impl IncrementalExchange {
             fresh,
         )?;
         stats.source_delta = ndelta.iter().map(|l| l.len()).sum();
+        stats.normalized_source_facts =
+            npre.iter().map(Vec::len).sum::<usize>() + stats.source_delta;
+        if tracing {
+            stats.trace.push(format!(
+                "normalized source w.r.t. Σst: {source_before} → {} facts",
+                stats.normalized_source_facts
+            ));
+        }
         let mut dirty_parts: BTreeSet<usize> = BTreeSet::new();
         for facts in &ndelta {
             for fact in facts {
@@ -1244,6 +1289,10 @@ impl IncrementalExchange {
                         }
                         if fired {
                             stats.tgd_steps += 1;
+                            if tracing {
+                                let tgd = &self.mapping.st_tgds()[ti];
+                                stats.trace.push(narrate_tgd_step(tgd, &h, iv));
+                            }
                         }
                         continue;
                     }
@@ -1286,11 +1335,19 @@ impl IncrementalExchange {
                     }
                 }
                 stats.tgd_steps += 1;
+                if tracing {
+                    let tgd = &self.mapping.st_tgds()[ti];
+                    stats.trace.push(narrate_tgd_step(tgd, &env, iv));
+                }
             }
         }
         // Source fixpoint settles: delta drains into pre.
         self.nsrc = settle(npre, ndelta);
         stats.target_new_facts = new_facts.iter().map(|l| l.len()).sum();
+        stats.target_facts_after_tgd = self.target_len() + stats.target_new_facts;
+        // Without new target facts nothing is normalized: the settled
+        // target is the normalized one.
+        stats.target_facts_normalized = self.target_len();
 
         // Step 3+4: boundary reconciliation and the egd fixpoint, only if
         // the batch produced target work.
@@ -1317,7 +1374,17 @@ impl IncrementalExchange {
                 pre,
                 new_facts,
             )?;
+            stats.target_facts_normalized = pre.iter().chain(delta.iter()).map(Vec::len).sum();
+            if tracing {
+                stats.trace.push(format!(
+                    "normalized target w.r.t. Σeg: {} → {} facts",
+                    stats.target_facts_after_tgd, stats.target_facts_normalized
+                ));
+            }
             loop {
+                // Every round but a fresh session's first has a settled
+                // block its delta-restricted joins skip.
+                let restricted = pre.iter().any(|l| !l.is_empty());
                 let mut uf = AnnotatedUnionFind::new();
                 let mut merges = 0usize;
                 let mut conflict: Option<(String, UfKey, UfKey, Interval)> = None;
@@ -1375,6 +1442,15 @@ impl IncrementalExchange {
                 }
                 stats.egd_rounds += 1;
                 stats.egd_merges += merges;
+                if restricted {
+                    stats.egd_delta_rounds += 1;
+                }
+                if tracing {
+                    stats.trace.push(format!(
+                        "egd round {}: {merges} identifications",
+                        stats.egd_rounds
+                    ));
+                }
                 let (npre, ndelta) = rewrite_values(&self.tgt_schema, &pre, &delta, &mut uf);
                 let renorm = if self.opts.renormalize_between_egd_rounds {
                     Some(egd_bodies.as_slice())
@@ -1520,6 +1596,43 @@ fn settle(mut pre: FactLists, delta: FactLists) -> FactLists {
     pre
 }
 
+/// The c-chase of `ic` as one batch on a fresh session built from `opts` —
+/// what [`c_chase_with`](crate::chase::concrete::c_chase_with) runs for the
+/// local engines. Every [`ChaseStats`] field except the input size comes
+/// from the session's own counters for that batch.
+pub(crate) fn chase_as_one_batch(
+    ic: &TemporalInstance,
+    mapping: &SchemaMapping,
+    opts: &ChaseOptions,
+) -> Result<CChaseResult> {
+    if ic.schema() != mapping.source() {
+        return Err(TdxError::Invalid(
+            "the source instance is not over the mapping's source schema".into(),
+        ));
+    }
+    let mut session = IncrementalExchange::with_options(mapping.clone(), opts.clone())?;
+    let batch = session.apply(&DeltaBatch::from_instance(ic))?;
+    let target = session.target();
+    let stats = ChaseStats {
+        source_facts_in: ic.total_len(),
+        source_facts_normalized: batch.normalized_source_facts,
+        tgd_steps: batch.tgd_steps,
+        target_facts_after_tgd: batch.target_facts_after_tgd,
+        target_facts_normalized: batch.target_facts_normalized,
+        egd_rounds: batch.egd_rounds,
+        egd_delta_rounds: batch.egd_delta_rounds,
+        egd_merges: batch.egd_merges,
+        target_facts_out: target.total_len(),
+        nulls_created: session.stats().nulls_created,
+    };
+    Ok(CChaseResult {
+        target,
+        normalized_source: lists_to_instance(&session.src_schema, &session.nsrc),
+        stats,
+        trace: batch.trace,
+    })
+}
+
 fn lists_to_instance(schema: &Arc<Schema>, lists: &FactLists) -> TemporalInstance {
     let mut out = TemporalInstance::new(Arc::clone(schema));
     for (r, facts) in lists.iter().enumerate() {
@@ -1593,9 +1706,16 @@ pub(crate) mod tests {
         b
     }
 
+    /// Checks the session against the Definition-16 reference run
+    /// with the session's other options — never against the default
+    /// engine, which is itself a one-batch session.
     fn assert_matches_from_scratch(session: &IncrementalExchange) {
         let source = session.source();
-        let scratch = c_chase_with(&source, session.mapping(), &ChaseOptions::default()).unwrap();
+        let reference = ChaseOptions {
+            engine: ChaseEngine::LegacyScan,
+            ..session.opts.clone()
+        };
+        let scratch = c_chase_with(&source, session.mapping(), &reference).unwrap();
         let inc = session.target();
         assert!(
             hom_equivalent(&semantics(&scratch.target), &semantics(&inc)),

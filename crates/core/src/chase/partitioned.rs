@@ -1,46 +1,43 @@
-//! The partitioned parallel c-chase (`ChaseEngine::PartitionedParallel`).
+//! The list-level kernels behind the session engine
+//! (`ChaseEngine::IndexedSemiNaive` and `ChaseEngine::PartitionedParallel`,
+//! both run by [`IncrementalExchange`](crate::chase::incremental::IncrementalExchange))
+//! and the distributed coordinator.
 //!
 //! The paper's c-chase (Section 4.3) is defined fact-at-a-time, but its
-//! normalization step makes the target fragment along interval breakpoints —
+//! normalization step makes the target fragment along interval breakpoints,
 //! so the concrete timeline decomposes into independent slices the same way
-//! the abstract chase decomposes into epochs. This engine exploits that:
+//! the abstract chase decomposes into epochs. The kernels here work on
+//! per-relation fact lists split into a settled `pre` block and a changed
+//! `delta` block:
 //!
-//! * the timeline is cut at **coarse breakpoints** drawn from the source's
-//!   endpoint set (`Breakpoints::coarsen`), and every phase's facts live in a
-//!   [`ShardedFactStore`] over that [`TimelinePartition`];
-//! * **tgd rounds** fan match work out per `(partition, hash shard)` onto
-//!   `std::thread::scope` workers — a [`TemporalMode::Shared`] match binds
-//!   every atom to one interval, so matches never cross partitions and the
-//!   per-partition owner blocks cover them exactly once;
-//! * the **egd / renormalization fixpoint** runs per timeline partition and
-//!   reconciles only facts whose intervals cross partition boundaries: such
-//!   facts are replicated into every partition they overlap, which makes
-//!   every overlapping image of Algorithm 1 visible inside a single
-//!   partition; the group-merge is a cheap global union-find over the
-//!   per-partition discoveries ([`merge_image_sets`]);
-//! * rounds ship their changes through the **delta log**: each rebuild lays
-//!   out unchanged facts before changed ones, so the next round's matching
-//!   pivots on contiguous delta suffixes ([`PartScope::OwnerDelta`]) and
-//!   renormalization discovery visits only *dirty* partitions — the ones a
-//!   changed fact overlaps.
+//! * **Algorithm-1 discovery** ([`discover_images`]): 2-atom conjunctions
+//!   run the [`sweep_lists`] overlap join, one parallel task per
+//!   conjunction, restricted to images touching a *fresh* fact after the
+//!   first pass; wider conjunctions fall back to the backtracking matcher
+//!   over a replicated [`ShardedFactStore`], cut at coarse timeline
+//!   breakpoints so every overlap image is visible inside one partition;
+//! * **re-fragmentation to a fixpoint** ([`refragment_lists`]): discovered
+//!   groups plus shared-null alignment become per-fact cuts
+//!   ([`image_cuts`], [`base_align_cuts`]) applied by [`apply_cuts`];
+//!   fragments join the delta block, so the next pass visits only what
+//!   changed;
+//! * **the egd rewrite** ([`rewrite_values`]): facts go through the round's
+//!   union-find, unchanged ones to `pre` and changed ones to `delta` — the
+//!   delta-restricted (semi-naive) split the next egd round joins against.
 //!
-//! The result is hom-equivalent to `IndexedSemiNaive` (it may fragment
-//! differently — delta-restricted discovery skips group merges between
-//! long-settled facts, which Algorithm 1 would re-derive with no effect on
-//! `⟦·⟧`); `tests/equivalence.rs` triangulates all three engines. The
-//! equivalence argument is spelled out in `docs/parallelism.md`.
+//! Work fans out through [`run_tasks`], which merges in task order, so
+//! results are byte-identical across thread counts. The equivalence
+//! argument is spelled out in `docs/parallelism.md`; `tests/equivalence.rs`
+//! checks every engine against the Definition-16 reference.
 
-use crate::chase::concrete::{AnnotatedUnionFind, CChaseResult, ChaseOptions, ChaseStats};
+use crate::chase::concrete::AnnotatedUnionFind;
 use crate::error::Result;
-use crate::normalize::{
-    merge_image_sets, naive_normalize, normalize_with_groups, uf_find, FactRef,
-};
+use crate::normalize::{merge_image_sets, uf_find, FactRef};
 use std::sync::Arc;
-use tdx_logic::{Atom, RelId, Schema, SchemaMapping, Var};
+use tdx_logic::{Atom, RelId, Schema, Var};
 use tdx_storage::fxhash::{FxHashMap, FxHashSet};
 use tdx_storage::{
-    PartScope, Row, SearchOptions, ShardedFactStore, TemporalFact, TemporalInstance, TemporalMode,
-    Value,
+    PartScope, Row, SearchOptions, ShardedFactStore, TemporalFact, TemporalMode, Value,
 };
 use tdx_temporal::{fragment_interval, Breakpoints, Interval, TimePoint, TimelinePartition};
 
@@ -205,7 +202,7 @@ pub(crate) fn sweep_images(
 }
 
 /// Sweep-based overlap join for a 2-atom conjunction over the global fact
-/// lists — the partitioned engine's replacement for backtracking image
+/// lists — the list kernels' replacement for backtracking image
 /// discovery. Candidates are filtered per atom, bucketed by join key,
 /// sorted by interval start, and swept: a pair is emitted iff the two
 /// intervals overlap (for two atoms, pairwise overlap *is* the non-empty
@@ -382,7 +379,13 @@ pub(crate) fn discover_images(
     let swept = sweep_images(pre, delta, fresh, &specs, threads);
     let mut from_matcher: Vec<Result<Vec<Vec<u64>>>> = Vec::new();
     if !generic.is_empty() {
-        let sharded = build_sharded(schema, tp, pre, delta, true);
+        let sharded =
+            ShardedFactStore::build_with_delta(Arc::clone(schema), tp.clone(), true, |rel| {
+                (
+                    pre[rel.0 as usize].as_slice(),
+                    delta[rel.0 as usize].as_slice(),
+                )
+            });
         // Partitions worth scanning: all of them on a full pass, else the
         // ones some fresh fact overlaps (an image with a fresh member is
         // visible wherever its common intersection lands — inside the
@@ -451,55 +454,6 @@ pub(crate) fn discover_images(
         }
     }
     Ok(out)
-}
-
-/// Partitioned Algorithm 1 over a whole instance: sweep/matcher image
-/// discovery, global group merge, fragmentation via the shared
-/// [`normalize_with_groups`]. Produces the groups of the sequential
-/// [`candidate_groups`](crate::normalize::candidate_groups) minus the
-/// no-op singletons — global fact ids equal the instance's fact ids.
-fn par_normalize(
-    ic: &TemporalInstance,
-    conjs: &[&[Atom]],
-    tp: &TimelinePartition,
-    threads: usize,
-    sopts: SearchOptions,
-) -> Result<TemporalInstance> {
-    if conjs.is_empty() {
-        return Ok(ic.clone());
-    }
-    let nrels = ic.schema().len();
-    let pre: FactLists = (0..nrels)
-        .map(|r| ic.facts(RelId(r as u32)).to_vec())
-        .collect();
-    let delta: FactLists = vec![Vec::new(); nrels];
-    let images = discover_images(
-        &ic.schema_arc(),
-        tp,
-        &pre,
-        &delta,
-        None,
-        conjs,
-        threads,
-        sopts,
-    )?;
-    let groups = merge_image_sets(&images);
-    normalize_with_groups(ic, &groups)
-}
-
-pub(crate) fn build_sharded(
-    schema: &Arc<Schema>,
-    tp: &TimelinePartition,
-    pre: &FactLists,
-    delta: &FactLists,
-    replicate: bool,
-) -> ShardedFactStore {
-    ShardedFactStore::build_with_delta(Arc::clone(schema), tp.clone(), 1, replicate, |rel| {
-        (
-            pre[rel.0 as usize].as_slice(),
-            delta[rel.0 as usize].as_slice(),
-        )
-    })
 }
 
 /// Adds the shared-null-base alignment cuts (see `align_shared_nulls` in the
@@ -686,33 +640,14 @@ pub(crate) fn apply_cuts(
     (npre, ndelta, nfresh)
 }
 
-/// Re-fragments the working fact lists to a fixpoint and then builds the
-/// round's sharded match store once. Per iteration it collects cuts from
-/// (a) egd-body candidate groups (sweep/matcher discovery, restricted to
-/// images touching a fresh fact), or every fact at every endpoint (when
-/// `naive`), plus (b) shared-base alignment; applies them; and stops once
-/// no cut remains. Fragments join the delta block (they are "changed" for
-/// the next round's matching) and are the next iteration's fresh set.
-#[allow(clippy::too_many_arguments)]
-fn refragment(
-    schema: &Arc<Schema>,
-    tp: &TimelinePartition,
-    threads: usize,
-    sopts: SearchOptions,
-    renorm_bodies: Option<&[&[Atom]]>,
-    naive: bool,
-    pre: FactLists,
-    delta: FactLists,
-) -> Result<(ShardedFactStore, FactLists, FactLists)> {
-    let (pre, delta) =
-        refragment_lists(schema, tp, threads, sopts, renorm_bodies, naive, pre, delta)?;
-    Ok((build_sharded(schema, tp, &pre, &delta, false), pre, delta))
-}
-
-/// The list-level fixpoint behind [`refragment`]: same cut discovery and
-/// application, but without the final store build — the incremental session
-/// matches with its own delta-scoped joins over the lists and never needs
-/// the sharded store on its fast path.
+/// Re-fragments the working fact lists to a fixpoint. Per iteration it
+/// collects cuts from (a) egd-body candidate groups (sweep/matcher
+/// discovery, restricted to images touching a fresh fact), or every fact at
+/// every endpoint (when `naive`), plus (b) shared-base alignment; applies
+/// them; and stops once no cut remains. Fragments join the delta block
+/// (they are "changed" for the next round's matching) and are the next
+/// iteration's fresh set. `renorm_bodies = None` applies the alignment cuts
+/// only (paper-faithful rounds).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn refragment_lists(
     schema: &Arc<Schema>,
@@ -798,275 +733,15 @@ pub(crate) fn rewrite_values(
     (npre, ndelta)
 }
 
-/// The partitioned parallel c-chase. Same contract as
-/// [`c_chase_with`](crate::chase::concrete::c_chase_with); dispatched from
-/// there for [`ChaseEngine::PartitionedParallel`](crate::chase::concrete::ChaseEngine).
-pub(crate) fn c_chase_partitioned(
-    ic: &TemporalInstance,
-    mapping: &SchemaMapping,
-    opts: &ChaseOptions,
-    threads: usize,
-) -> Result<CChaseResult> {
-    let threads = crate::chase::worker_threads(threads);
-    let sopts = opts.search_options();
-    let mut stats = ChaseStats {
-        source_facts_in: ic.total_len(),
-        ..ChaseStats::default()
-    };
-    let mut trace: Vec<String> = Vec::new();
-    let log = |opts: &ChaseOptions, trace: &mut Vec<String>, msg: String| {
-        if opts.record_trace {
-            trace.push(msg);
-        }
-    };
-
-    // Partition the timeline at coarse breakpoints of the source. The chase
-    // never invents endpoints (tgd heads reuse h(t); fragmentation cuts at
-    // existing endpoints), so one partition serves every phase. The count is
-    // a locality knob, not a worker knob: more partitions shrink the index
-    // buckets every probe scans, which pays even on one thread, so it is
-    // deliberately independent of `threads` (which also keeps results
-    // byte-identical across thread counts).
-    let parts_hint = 16;
-    let tp = TimelinePartition::new(&ic.endpoints().coarsen(parts_hint));
-    log(
-        opts,
-        &mut trace,
-        format!(
-            "partitioned chase: {} timeline partitions, {threads} threads",
-            tp.len()
-        ),
-    );
-
-    // Step 1: normalize the source w.r.t. the s-t tgd bodies (partitioned
-    // Algorithm 1 — identical groups, discovered per partition).
-    let tgd_bodies = mapping.tgd_bodies();
-    let nsource = if opts.naive_normalization {
-        naive_normalize(ic)
-    } else {
-        par_normalize(ic, &tgd_bodies, &tp, threads, sopts)?
-    };
-    stats.source_facts_normalized = nsource.total_len();
-    log(
-        opts,
-        &mut trace,
-        format!(
-            "normalized source w.r.t. Σst: {} → {} facts",
-            stats.source_facts_in, stats.source_facts_normalized
-        ),
-    );
-
-    // Step 2: s-t tgd steps. Match enumeration fans out per (tgd,
-    // partition, hash shard); the restricted-chase check and inserts merge
-    // sequentially in task order, so the output is deterministic across
-    // thread counts. The hash fan-out is a fixed constant — not the thread
-    // count — precisely so the task decomposition (and with it the merge
-    // order and the result) never depends on how many workers ran it.
-    let hash_shards = 8;
-    let ssrc = ShardedFactStore::build_from(&nsource, tp.clone(), hash_shards, false);
-    let tgds = mapping.st_tgds();
-    let nparts = ssrc.part_count();
-    let ntasks = tgds.len() * nparts * hash_shards;
-    type Hom = (Vec<(Var, Value)>, Interval);
-    let homs = run_tasks(threads, ntasks, |t| -> Result<Vec<Hom>> {
-        let tgd = &tgds[t / (nparts * hash_shards)];
-        let rem = t % (nparts * hash_shards);
-        let (p, bucket) = (rem / hash_shards, rem % hash_shards);
-        let rel0 = ssrc
-            .schema()
-            .rel_id(tgd.body[0].relation)
-            .expect("validated body atom");
-        let range = ssrc.hash_range(p, rel0, bucket);
-        if range.0 == range.1 {
-            return Ok(Vec::new());
-        }
-        let mut out = Vec::new();
-        ssrc.part(p).find_matches(
-            &tgd.body,
-            TemporalMode::Shared,
-            &[],
-            None,
-            sopts,
-            PartScope::OwnerPivot { atom: 0, range },
-            &mut |m| {
-                out.push((
-                    m.bindings(),
-                    m.shared_interval().expect("temporal store binds t"),
-                ));
-                true
-            },
-        )?;
-        Ok(out)
-    });
-    let mut target = TemporalInstance::new(Arc::new(mapping.target().clone()));
-    // The restricted-chase check and insert discipline is the shared
-    // coordinator kernel (`chase/cluster/coordinator.rs`): the same
-    // `TgdFolder` the distributed engine folds its server responses
-    // through, fed here from the local task fan-out in task order.
-    let mut folder = crate::chase::cluster::TgdFolder::new(mapping)?;
-    for (t, task_homs) in homs.into_iter().enumerate() {
-        let ti = t / (nparts * hash_shards);
-        stats.tgd_steps += folder.fold(ti, task_homs?, &mut target, sopts)?;
-    }
-    stats.nulls_created = folder.nulls.peek();
-    stats.target_facts_after_tgd = target.total_len();
-    log(
-        opts,
-        &mut trace,
-        format!(
-            "tgd phase: {} steps fired over {ntasks} tasks",
-            stats.tgd_steps
-        ),
-    );
-
-    // Steps 3–4: normalize the target w.r.t. the egd bodies, then run egd
-    // rounds to a fixpoint — per partition, reconciling boundary-crossing
-    // facts through replicas, shipping each round's changes via the delta
-    // log.
-    let egd_bodies = mapping.egd_bodies();
-    let schema = target.schema_arc();
-    let nrels = schema.len();
-    if egd_bodies.is_empty() && target.nulls().is_empty() {
-        stats.target_facts_normalized = target.total_len();
-        if opts.coalesce_result {
-            target = target.coalesced();
-        }
-        stats.target_facts_out = target.total_len();
-        return Ok(CChaseResult {
-            target,
-            normalized_source: nsource,
-            stats,
-            trace,
-        });
-    }
-    let pre: FactLists = vec![Vec::new(); nrels];
-    let delta: FactLists = (0..nrels)
-        .map(|r| target.facts(RelId(r as u32)).to_vec())
-        .collect();
-    // The initial normalization always runs w.r.t. the egd bodies (the
-    // paper's step 3); the per-round choice below honors
-    // `renormalize_between_egd_rounds`.
-    let (mut sharded, mut pre, mut delta) = refragment(
-        &schema,
-        &tp,
-        threads,
-        sopts,
-        Some(&egd_bodies),
-        opts.naive_normalization,
-        pre,
-        delta,
-    )?;
-    stats.target_facts_normalized = sharded.total_len();
-    log(
-        opts,
-        &mut trace,
-        format!(
-            "normalized target w.r.t. Σeg: {} → {} facts",
-            stats.target_facts_after_tgd, stats.target_facts_normalized
-        ),
-    );
-
-    let mut first_round = true;
-    loop {
-        // Per-partition egd match enumeration, delta-pivoted. Owner blocks
-        // cover shared-t matches exactly once; partitions without delta
-        // facts cannot host a new match. Generation 0 is the round's
-        // pre/delta split, so the watermark query is exactly "who gained
-        // facts this round".
-        let dirty: Vec<usize> = sharded.dirty_partitions(tdx_storage::Generation(0));
-        let egds = mapping.egds();
-        type Op = (usize, Value, Value, Interval);
-        let per_task = run_tasks(threads, dirty.len(), |t| -> Result<Vec<Op>> {
-            let view = sharded.part(dirty[t]);
-            let mut ops = Vec::new();
-            for (ei, egd) in egds.iter().enumerate() {
-                view.find_matches(
-                    &egd.body,
-                    TemporalMode::Shared,
-                    &[],
-                    None,
-                    sopts,
-                    PartScope::OwnerDelta,
-                    &mut |m| {
-                        let iv = m.shared_interval().expect("temporal store binds t");
-                        let a = m.value(egd.lhs).expect("egd lhs in body");
-                        let b = m.value(egd.rhs).expect("egd rhs in body");
-                        if a != b {
-                            ops.push((ei, a, b, iv));
-                        }
-                        true
-                    },
-                )?;
-            }
-            Ok(ops)
-        });
-        let mut uf = AnnotatedUnionFind::new();
-        let mut merges = 0usize;
-        for task in per_task {
-            // The union-find fold (and its failure rendering) is the shared
-            // coordinator kernel, identical across engines.
-            merges += crate::chase::cluster::fold_merge_ops(task?, &mut uf, |ei| {
-                let egd = &egds[ei];
-                egd.name.clone().unwrap_or_else(|| egd.to_string())
-            })?;
-        }
-        if merges == 0 {
-            break;
-        }
-        stats.egd_rounds += 1;
-        stats.egd_merges += merges;
-        if !first_round {
-            stats.egd_delta_rounds += 1;
-        }
-        first_round = false;
-        log(
-            opts,
-            &mut trace,
-            format!(
-                "egd round {}: {merges} identifications over {} dirty partitions",
-                stats.egd_rounds,
-                dirty.len()
-            ),
-        );
-        let (npre, ndelta) = rewrite_values(&schema, &pre, &delta, &mut uf);
-        let renorm = if opts.renormalize_between_egd_rounds {
-            Some(egd_bodies.as_slice())
-        } else {
-            None // paper-faithful: keep annotated-null siblings aligned only
-        };
-        (sharded, pre, delta) = refragment(
-            &schema,
-            &tp,
-            threads,
-            sopts,
-            renorm,
-            opts.naive_normalization,
-            npre,
-            ndelta,
-        )?;
-    }
-
-    let mut target = sharded.to_instance();
-    if opts.coalesce_result {
-        target = target.coalesced();
-    }
-    stats.target_facts_out = target.total_len();
-    Ok(CChaseResult {
-        target,
-        normalized_source: nsource,
-        stats,
-        trace,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chase::concrete::c_chase_with;
+    use crate::chase::concrete::{c_chase_with, ChaseOptions};
     use crate::error::TdxError;
     use crate::hom::hom_equivalent;
     use crate::semantics::semantics;
-    use tdx_logic::{parse_egd, parse_schema, parse_tgd};
+    use tdx_logic::{parse_egd, parse_schema, parse_tgd, SchemaMapping};
+    use tdx_storage::TemporalInstance;
 
     fn iv(s: u64, e: u64) -> Interval {
         Interval::new(s, e)
@@ -1103,7 +778,7 @@ mod tests {
     fn paper_example_matches_sequential_engine() {
         let mapping = paper_mapping();
         let source = figure4(&mapping);
-        let seq = c_chase_with(&source, &mapping, &ChaseOptions::default()).unwrap();
+        let seq = c_chase_with(&source, &mapping, &ChaseOptions::legacy_scan()).unwrap();
         for threads in [1usize, 2, 4] {
             let par = c_chase_with(
                 &source,

@@ -24,21 +24,19 @@
 //! eager per-column value indexes, an eager exact-interval index, an
 //! interval-endpoint index (`tdx_temporal::IntervalIndex`, overlap probes
 //! and incremental endpoint enumeration), and a **generation log** exposing
-//! "facts added since round *k*". On top of it the default
-//! [`ChaseEngine::IndexedSemiNaive`] runs tgd/egd steps as index-probed
-//! joins and makes egd fixpoint rounds **semi-naive**: after the first
-//! round, egd bodies join only against the previous round's delta. The
-//! pre-FactStore full-scan behavior survives as
-//! [`ChaseEngine::LegacyScan`].
+//! "facts added since round *k*". The Definition-16 pipeline runs
+//! literally over it as [`ChaseEngine::LegacyScan`], the reference the
+//! tests check every other engine against.
 //!
-//! [`ChaseEngine::PartitionedParallel`] evaluates the chase over a
-//! timeline-partitioned `tdx_storage::ShardedFactStore`: tgd/egd match
-//! work fans out per partition (and hash shard) onto scoped worker
-//! threads, normalization discovery runs as sweep-based overlap joins
-//! restricted to changed facts, and rounds ship their deltas through the
-//! generation log — ≳2.5× over the flat engine on the workload suite even
-//! single-threaded (see `docs/parallelism.md`). `tests/equivalence.rs`
-//! triangulates all three engines, and `crates/bench` ablates them (see
+//! The default [`ChaseEngine::IndexedSemiNaive`] and
+//! [`ChaseEngine::PartitionedParallel`] chase the source as one batch of an
+//! [`IncrementalExchange`] session (below): tgd and egd steps join per
+//! dirty interval over per-relation fact lists, normalization discovery
+//! runs as sweep-based overlap joins restricted to changed facts on scoped
+//! worker threads, and egd rounds are **semi-naive** — after the first
+//! round, egd bodies join only against the previous round's changes (see
+//! `docs/parallelism.md`). `tests/equivalence.rs` triangulates every
+//! engine against the reference, and `crates/bench` ablates them (see
 //! `BENCH_chase.json`; CI gates regressions via `bench_check`).
 //!
 //! [`ChaseEngine::Distributed`] relocates that match work onto
@@ -54,11 +52,11 @@
 //! respawns dead servers and replays their images (see
 //! `docs/distributed.md` and `docs/transport.md`).
 //!
-//! On top of the batch engines, [`IncrementalExchange`] is a *stateful*
-//! exchange session: the chased target stays materialized between calls
-//! and each [`DeltaBatch`] of source changes re-runs only the tgd/egd
-//! work at dirty intervals plus the boundary-reconciliation set — ~8×
-//! over a from-scratch partitioned re-chase for small batches (see
+//! [`IncrementalExchange`] is a *stateful* exchange session: the chased
+//! target stays materialized between calls and each [`DeltaBatch`] of
+//! source changes re-runs only the tgd/egd work at dirty intervals plus
+//! the boundary-reconciliation set — ~8× over a from-scratch re-chase for
+//! small batches (see
 //! `docs/incremental.md` and `c_chase/incremental/*` in
 //! `BENCH_chase.json`).
 //!
@@ -69,8 +67,9 @@
 //! | `tdx_storage::fact_store` | indexed fact storage + generation/delta log |
 //! | `tdx_storage::sharded` | timeline-partitioned shards, owner/delta/replica scopes |
 //! | `tdx_storage::matcher` | join engine: index candidates, per-atom delta bounds |
-//! | [`chase::concrete`] | semi-naive c-chase over the store's deltas |
-//! | [`chase::partitioned`](chase) | partitioned parallel c-chase (sweep discovery, worker fan-out) |
+//! | [`chase::concrete`] | engine dispatch; the Definition-16 reference c-chase |
+//! | [`chase::incremental`] | the session: one-batch chase for the local engines, delta batches |
+//! | [`chase::partitioned`](chase) | list kernels: sweep discovery, re-fragmentation, worker fan-out |
 //! | [`chase::cluster`](chase) | partition-server protocol, transports, coordinator kernel |
 //! | [`normalize`], [`query`] | overlap-index group discovery, engine-threaded eval |
 //!

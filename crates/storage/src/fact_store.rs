@@ -14,8 +14,8 @@
 //!   candidate-set condition) and incremental endpoint enumeration;
 //! * a **generation log**: [`FactStore::mark`] seals the current contents
 //!   and returns a [`Generation`] token; `delta_start`/`facts_since` then
-//!   answer "which facts were added since?" — the primitive the semi-naive
-//!   chase is built on.
+//!   answer "which facts were added since?" — the primitive watermark
+//!   snapshot reads are built on.
 //!
 //! Insertion ids are stable and monotone, so a generation is just a
 //! per-relation watermark and a delta is a contiguous id range.

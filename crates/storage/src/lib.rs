@@ -14,7 +14,7 @@
 //!   schema);
 //! * [`FactStore`] — the indexed storage engine underneath: eager
 //!   per-column value indexes, interval-endpoint indexes (exact and overlap
-//!   probes), and a generation/delta log for semi-naive evaluation;
+//!   probes), and a generation/delta log for watermark reads;
 //! * [`codec`] — a plain byte codec (bincode-style) for the distributed
 //!   chase's wire protocol: values, rows, intervals and facts serialize to
 //!   transport-neutral frames (string constants travel as text, never as

@@ -274,9 +274,10 @@ struct Search<'a, S: Store> {
     pattern: &'a Pattern,
     mode: TemporalMode,
     use_indexes: bool,
-    /// Per-atom admissible row-id range `[lo, hi)`. The semi-naive chase
-    /// uses this to pin one atom to a generation's delta and the preceding
-    /// atoms to the pre-delta prefix.
+    /// Per-atom admissible row-id range `[lo, hi)`. Delta-pivoted scopes
+    /// use this to pin one atom to a generation's delta and the preceding
+    /// atoms to the pre-delta prefix; snapshots use it to hide facts past a
+    /// watermark.
     bounds: Vec<(u32, u32)>,
     bindings: Vec<Option<Value>>,
     matched: Vec<bool>,
@@ -757,91 +758,6 @@ impl TemporalInstance {
             Some(bounds),
             &mut on_match,
         )
-    }
-
-    /// Semi-naive enumeration: homomorphisms whose image contains **at least
-    /// one fact added since `since`** (see
-    /// [`FactStore::mark`](crate::fact_store::FactStore::mark)).
-    ///
-    /// Classic delta-join decomposition: for each pivot atom `i`, atom `i`
-    /// ranges over the delta, atoms before `i` over the pre-delta prefix,
-    /// and atoms after `i` over the whole store — every qualifying
-    /// homomorphism is enumerated exactly once. Matches entirely inside the
-    /// pre-delta instance are skipped, which is what makes fixpoint rounds
-    /// incremental.
-    #[allow(clippy::too_many_arguments)]
-    pub fn find_matches_delta(
-        &self,
-        atoms: &[Atom],
-        mode: TemporalMode,
-        prebound: &[(Var, Value)],
-        pre_interval: Option<Interval>,
-        options: SearchOptions,
-        since: crate::fact_store::Generation,
-        mut on_match: impl FnMut(&Match<'_>) -> bool,
-    ) -> Result<bool, MatchError> {
-        let store = self.store();
-        let schema = TemporalInstance::schema(self);
-        // Per-atom delta watermarks (unknown relations error in compile —
-        // run one plain search to surface the same `MatchError`).
-        let mut marks: Vec<u32> = Vec::with_capacity(atoms.len());
-        for atom in atoms {
-            match schema.rel_id(atom.relation) {
-                Some(rel) => marks.push(store.delta_start(rel, since)),
-                None => {
-                    return run_search(
-                        self,
-                        atoms,
-                        mode,
-                        prebound,
-                        pre_interval,
-                        options,
-                        None,
-                        &mut on_match,
-                    )
-                }
-            }
-        }
-        let mut found = false;
-        let mut stopped = false;
-        for pivot in 0..atoms.len() {
-            #[expect(
-                clippy::expect_used,
-                reason = "every atom relation was resolved before the pivot loop"
-            )]
-            let rel = schema.rel_id(atoms[pivot].relation).expect("checked above");
-            if marks[pivot] >= store.len(rel) as u32 {
-                continue; // empty delta for this pivot
-            }
-            let bounds: Vec<(u32, u32)> = (0..atoms.len())
-                .map(|j| match j.cmp(&pivot) {
-                    std::cmp::Ordering::Less => (0, marks[j]),
-                    std::cmp::Ordering::Equal => (marks[j], u32::MAX),
-                    std::cmp::Ordering::Greater => (0, u32::MAX),
-                })
-                .collect();
-            let any = run_search(
-                self,
-                atoms,
-                mode,
-                prebound,
-                pre_interval,
-                options,
-                Some(&bounds),
-                &mut |m| {
-                    let keep_going = on_match(m);
-                    if !keep_going {
-                        stopped = true;
-                    }
-                    keep_going
-                },
-            )?;
-            found |= any;
-            if stopped {
-                break;
-            }
-        }
-        Ok(found)
     }
 
     /// Whether at least one homomorphism exists under `mode`.

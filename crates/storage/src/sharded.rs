@@ -1,5 +1,6 @@
-//! A timeline-partitioned, hash-fanned shard layout over [`FactStore`]s —
-//! the storage engine of the partitioned parallel c-chase.
+//! A timeline-partitioned shard layout over [`FactStore`]s — the match
+//! store of the partition servers and of wide-conjunction normalization
+//! discovery.
 //!
 //! [`ShardedFactStore`] splits the facts of one logical instance across
 //! *timeline partitions*: the timeline `[0, ∞)` is cut at coarse breakpoints
@@ -21,10 +22,6 @@
 //!   normalization discovery therefore finds *every* image of Algorithm 1;
 //!   only the group-merge (a union-find over global fact ids) is global.
 //!
-//! Within a partition's owner block, facts are optionally grouped by a hash
-//! of their data row into contiguous id ranges ([`ShardedFactStore::hash_range`]),
-//! so tgd match work fans out to more workers than there are partitions.
-//!
 //! The store is frozen at construction ([`ShardedFactStore::build_from`] /
 //! [`ShardedFactStore::build_with_delta`]): the chase rebuilds it between
 //! rounds anyway, and a frozen layout keeps owner blocks and delta suffixes
@@ -38,7 +35,6 @@ use crate::fact_store::{FactStore, Generation};
 use crate::matcher::{run_search, Match, MatchError, SearchOptions, Store, TemporalMode};
 use crate::temporal_instance::{TemporalFact, TemporalInstance};
 use crate::value::{Row, Value};
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use tdx_logic::{Atom, RelId, Schema, Var};
 use tdx_temporal::{Breakpoints, Interval, TimelinePartition};
@@ -57,19 +53,15 @@ struct Shard {
     /// Per relation: local id → global id (replicas map to their owner's
     /// global id).
     global: Vec<Vec<u32>>,
-    /// Per relation, per hash bucket: contiguous owner-local id range.
-    /// Empty when the store was built without hash grouping.
-    hash_ranges: Vec<Vec<(u32, u32)>>,
 }
 
-/// A timeline-partitioned (and optionally hash-grouped) sharded fact store.
+/// A timeline-partitioned sharded fact store.
 ///
 /// See the module docs for the layout. Construction freezes the contents;
 /// global fact ids are dense per relation, in input order.
 pub struct ShardedFactStore {
     schema: Arc<Schema>,
     partition: TimelinePartition,
-    hash_shards: usize,
     parts: Vec<Shard>,
     /// Per relation: global id → (partition, owner-local id).
     loc: Vec<Vec<(u32, u32)>>,
@@ -86,14 +78,6 @@ pub enum PartScope {
     /// Owner block only, restricted to matches whose image contains at
     /// least one fact of the delta suffix (semi-naive rounds).
     OwnerDelta,
-    /// Owner block for every atom except `atom`, which is pinned to the
-    /// given owner-local id range (hash fan-out pivots).
-    OwnerPivot {
-        /// Index of the pivot atom in the conjunction.
-        atom: usize,
-        /// Owner-local id range `[lo, hi)` admitted for the pivot.
-        range: (u32, u32),
-    },
     /// Owner block plus replicas — the visibility a
     /// [`TemporalMode::FreeOverlapping`] discovery pass needs.
     Full,
@@ -107,32 +91,20 @@ pub enum PartScope {
     OwnerTouch,
 }
 
-fn row_hash(data: &Row) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    data.hash(&mut h);
-    h.finish()
-}
-
 impl ShardedFactStore {
     /// Builds a sharded store over the facts of `inst`, all sealed as
-    /// pre-delta. `hash_shards` ≥ 1 groups each owner block into that many
-    /// contiguous hash buckets. `replicate` controls whether
+    /// pre-delta. `replicate` controls whether
     /// boundary-crossing facts are copied into the partitions they overlap —
     /// required for [`PartScope::Full`]/[`PartScope::OwnerTouch`] overlap
     /// discovery, dead weight for shared-`t`-only (owner-block) matching.
     pub fn build_from(
         inst: &TemporalInstance,
         partition: TimelinePartition,
-        hash_shards: usize,
         replicate: bool,
     ) -> ShardedFactStore {
-        Self::build_with_delta(
-            inst.schema_arc(),
-            partition,
-            hash_shards,
-            replicate,
-            |rel| (inst.facts(rel), &[]),
-        )
+        Self::build_with_delta(inst.schema_arc(), partition, replicate, |rel| {
+            (inst.facts(rel), &[])
+        })
     }
 
     /// Builds a sharded store whose facts arrive split into a pre block and
@@ -144,11 +116,9 @@ impl ShardedFactStore {
     pub fn build_with_delta<'a>(
         schema: Arc<Schema>,
         partition: TimelinePartition,
-        hash_shards: usize,
         replicate: bool,
         per_rel: impl Fn(RelId) -> (&'a [TemporalFact], &'a [TemporalFact]),
     ) -> ShardedFactStore {
-        let hash_shards = hash_shards.max(1);
         let nrels = schema.len();
         let nparts = partition.len();
         let mut parts: Vec<Shard> = (0..nparts)
@@ -157,7 +127,6 @@ impl ShardedFactStore {
                 own_len: vec![0; nrels],
                 delta_from: vec![0; nrels],
                 global: vec![Vec::new(); nrels],
-                hash_ranges: vec![Vec::new(); nrels],
             })
             .collect();
         let mut loc: Vec<Vec<(u32, u32)>> = vec![Vec::new(); nrels];
@@ -167,37 +136,17 @@ impl ShardedFactStore {
             let rel = RelId(r as u32);
             let (pre, delta) = per_rel(rel);
             pre_marks[r] = pre.len() as u32;
-            // Bucket global ids by (owner partition, hash shard); owner
-            // blocks are laid out pre-then-delta, hash-grouped within each.
+            // Owner blocks in global id order, which lays out every pre
+            // fact before the delta suffix.
             let owner_of = |fact: &TemporalFact| partition.part_of(fact.interval.start());
-            let bucket_of = |fact: &TemporalFact| {
-                if hash_shards == 1 {
-                    0
-                } else {
-                    (row_hash(&fact.data) % hash_shards as u64) as usize
-                }
-            };
-            let mut buckets: Vec<Vec<Vec<u32>>> = vec![vec![Vec::new(); hash_shards]; nparts];
+            let mut owned: Vec<Vec<u32>> = vec![Vec::new(); nparts];
             let all = || pre.iter().chain(delta.iter());
             for (gid, fact) in all().enumerate() {
-                buckets[owner_of(fact)][bucket_of(fact)].push(gid as u32);
+                owned[owner_of(fact)].push(gid as u32);
             }
             loc[r] = vec![(0, 0); pre.len() + delta.len()];
             for (p, shard) in parts.iter_mut().enumerate() {
-                // Pre facts first (hash-grouped), then the delta suffix
-                // (hash grouping is not preserved inside the delta — the
-                // tgd fan-out only pivots on pre-sealed stores).
-                let mut order: Vec<u32> = Vec::new();
-                let mut ranges = Vec::with_capacity(hash_shards);
-                for b in &buckets[p] {
-                    let lo = order.len() as u32;
-                    order.extend(b.iter().filter(|&&g| (g as usize) < pre.len()));
-                    ranges.push((lo, order.len() as u32));
-                }
-                let delta_from = order.len() as u32;
-                for b in &buckets[p] {
-                    order.extend(b.iter().filter(|&&g| (g as usize) >= pre.len()));
-                }
+                let order = &owned[p];
                 for (local, &gid) in order.iter().enumerate() {
                     let fact = if (gid as usize) < pre.len() {
                         &pre[gid as usize]
@@ -212,10 +161,7 @@ impl ShardedFactStore {
                     loc[r][gid as usize] = (p as u32, local as u32);
                 }
                 shard.own_len[r] = order.len() as u32;
-                shard.delta_from[r] = delta_from;
-                if hash_shards > 1 {
-                    shard.hash_ranges[r] = ranges;
-                }
+                shard.delta_from[r] = order.partition_point(|&g| (g as usize) < pre.len()) as u32;
             }
             if replicate {
                 // Replicas of boundary-crossing facts, one pass over the
@@ -240,7 +186,6 @@ impl ShardedFactStore {
         ShardedFactStore {
             schema,
             partition,
-            hash_shards,
             parts,
             loc,
             marks: vec![pre_marks],
@@ -265,11 +210,6 @@ impl ShardedFactStore {
     /// Number of timeline partitions.
     pub fn part_count(&self) -> usize {
         self.parts.len()
-    }
-
-    /// Number of hash buckets per owner block (1 = no hash grouping).
-    pub fn hash_shards(&self) -> usize {
-        self.hash_shards
     }
 
     /// Number of facts in one relation (owners only — replicas are an
@@ -485,18 +425,6 @@ impl ShardedFactStore {
             schema: &self.schema,
         }
     }
-
-    /// The hash-bucket owner-local id range `(lo, hi)` for `rel` in
-    /// partition `p` (pre-delta owner facts only). Returns the whole owner
-    /// block when the store was built without hash grouping.
-    pub fn hash_range(&self, p: usize, rel: RelId, bucket: usize) -> (u32, u32) {
-        let shard = &self.parts[p];
-        let r = rel.0 as usize;
-        match shard.hash_ranges[r].get(bucket) {
-            Some(&range) => range,
-            None => (0, shard.delta_from[r]),
-        }
-    }
 }
 
 /// A borrowed view of one timeline partition; matching runs against it with
@@ -578,26 +506,6 @@ impl<'a> PartView<'a> {
                 let mut bounds = Vec::with_capacity(atoms.len());
                 for atom in atoms {
                     bounds.push((0, self.own_len(rel_of(atom)?)));
-                }
-                run_search(
-                    self,
-                    atoms,
-                    mode,
-                    prebound,
-                    pre_interval,
-                    options,
-                    Some(&bounds),
-                    on_match,
-                )
-            }
-            PartScope::OwnerPivot { atom, range } => {
-                let mut bounds = Vec::with_capacity(atoms.len());
-                for (i, a) in atoms.iter().enumerate() {
-                    bounds.push(if i == atom {
-                        range
-                    } else {
-                        (0, self.own_len(rel_of(a)?))
-                    });
                 }
                 run_search(
                     self,
@@ -849,18 +757,17 @@ mod tests {
         i
     }
 
-    fn sharded(parts: &[u64], hash: usize) -> ShardedFactStore {
+    fn sharded(parts: &[u64]) -> ShardedFactStore {
         ShardedFactStore::build_from(
             &figure4(),
             TimelinePartition::new(&Breakpoints::from_points(parts.iter().copied())),
-            hash,
             true,
         )
     }
 
     #[test]
     fn global_ids_follow_input_order() {
-        let s = sharded(&[2014], 1);
+        let s = sharded(&[2014]);
         assert_eq!(s.part_count(), 2);
         assert_eq!(s.total_len(), 5);
         let e = RelId(0);
@@ -891,66 +798,64 @@ mod tests {
             &[2013, 2015][..],
             &[1, 2013, 2014, 2015, 2016][..],
         ] {
-            for hash in [1usize, 3] {
-                let s = sharded(cuts, hash);
-                for r in 0..2u32 {
-                    let rel = RelId(r);
-                    let flat = inst.store();
-                    for v in ["Ada", "Bob", "IBM", "18k", "nope"] {
-                        let v = Value::str(v);
-                        for col in 0..2 {
-                            let mut a = Vec::new();
-                            flat.for_col(rel, col, &v, &mut |id| {
-                                a.push(id);
-                                true
-                            });
-                            let mut b = Vec::new();
-                            s.for_col(rel, col, &v, &mut |id| {
-                                b.push(id);
-                                true
-                            });
-                            b.sort_unstable();
-                            assert_eq!(a, b, "col probe {cuts:?}/{hash}");
-                            assert_eq!(s.col_count(rel, col, &v), a.len());
-                        }
-                    }
-                    for q in [
-                        iv(2012, 2014),
-                        iv(2013, 2018),
-                        Interval::from(2013),
-                        iv(1, 2),
-                    ] {
+            let s = sharded(cuts);
+            for r in 0..2u32 {
+                let rel = RelId(r);
+                let flat = inst.store();
+                for v in ["Ada", "Bob", "IBM", "18k", "nope"] {
+                    let v = Value::str(v);
+                    for col in 0..2 {
                         let mut a = Vec::new();
-                        flat.for_exact(rel, &q, &mut |id| {
+                        flat.for_col(rel, col, &v, &mut |id| {
                             a.push(id);
                             true
                         });
                         let mut b = Vec::new();
-                        s.for_exact(rel, &q, &mut |id| {
+                        s.for_col(rel, col, &v, &mut |id| {
                             b.push(id);
                             true
                         });
                         b.sort_unstable();
-                        assert_eq!(a, b, "exact probe {cuts:?}/{hash}");
-                        let mut a = Vec::new();
-                        flat.for_overlap(rel, &q, &mut |id| {
-                            a.push(id);
-                            true
-                        });
-                        a.sort_unstable();
-                        let mut b = Vec::new();
-                        s.for_overlap(rel, &q, &mut |id| {
-                            b.push(id);
-                            true
-                        });
-                        b.sort_unstable();
-                        assert_eq!(a, b, "overlap probe {cuts:?}/{hash}");
-                        assert_eq!(s.overlap_count(rel, &q), a.len());
-                        assert_eq!(s.exact_count(rel, &q), flat.exact_count(rel, &q));
+                        assert_eq!(a, b, "col probe {cuts:?}");
+                        assert_eq!(s.col_count(rel, col, &v), a.len());
                     }
                 }
-                assert_eq!(s.endpoints().points(), inst.endpoints().points());
+                for q in [
+                    iv(2012, 2014),
+                    iv(2013, 2018),
+                    Interval::from(2013),
+                    iv(1, 2),
+                ] {
+                    let mut a = Vec::new();
+                    flat.for_exact(rel, &q, &mut |id| {
+                        a.push(id);
+                        true
+                    });
+                    let mut b = Vec::new();
+                    s.for_exact(rel, &q, &mut |id| {
+                        b.push(id);
+                        true
+                    });
+                    b.sort_unstable();
+                    assert_eq!(a, b, "exact probe {cuts:?}");
+                    let mut a = Vec::new();
+                    flat.for_overlap(rel, &q, &mut |id| {
+                        a.push(id);
+                        true
+                    });
+                    a.sort_unstable();
+                    let mut b = Vec::new();
+                    s.for_overlap(rel, &q, &mut |id| {
+                        b.push(id);
+                        true
+                    });
+                    b.sort_unstable();
+                    assert_eq!(a, b, "overlap probe {cuts:?}");
+                    assert_eq!(s.overlap_count(rel, &q), a.len());
+                    assert_eq!(s.exact_count(rel, &q), flat.exact_count(rel, &q));
+                }
             }
+            assert_eq!(s.endpoints().points(), inst.endpoints().points());
         }
     }
 
@@ -980,7 +885,6 @@ mod tests {
             let s = ShardedFactStore::build_from(
                 &inst,
                 TimelinePartition::new(&Breakpoints::from_points(cuts.iter().copied())),
-                1,
                 true,
             );
             let mut got = Vec::new();
@@ -1027,7 +931,7 @@ mod tests {
         // E(Bob, IBM) @ [2013, 2018) crosses the 2014 boundary; S(Bob, 13k)
         // @ [2015, ∞) is owned by the upper partition. Their overlapping
         // image must be visible in a single partition via replicas.
-        let s = sharded(&[2014], 1);
+        let s = sharded(&[2014]);
         let atoms = parse_tgd("E(n,c) & S(n,s) -> Z()").unwrap().body;
         let mut images = std::collections::BTreeSet::new();
         for p in 0..s.part_count() {
@@ -1078,7 +982,6 @@ mod tests {
         let s = ShardedFactStore::build_with_delta(
             schema(),
             TimelinePartition::new(&Breakpoints::from_points([2014])),
-            1,
             true,
             |rel| {
                 if rel.0 == 0 {
@@ -1137,7 +1040,6 @@ mod tests {
         let s = ShardedFactStore::build_with_delta(
             schema(),
             TimelinePartition::new(&Breakpoints::from_points([2014])),
-            1,
             false,
             |rel| {
                 if rel.0 == 1 {
@@ -1155,23 +1057,5 @@ mod tests {
         let gen = s.mark();
         assert!(s.dirty_partitions(gen).is_empty());
         assert!(!s.has_delta_since(gen));
-    }
-
-    #[test]
-    fn hash_ranges_tile_the_owner_block() {
-        let s = sharded(&[2014], 4);
-        for p in 0..s.part_count() {
-            for r in 0..2u32 {
-                let rel = RelId(r);
-                let mut covered = 0u32;
-                for b in 0..4 {
-                    let (lo, hi) = s.hash_range(p, rel, b);
-                    assert!(lo <= hi);
-                    assert_eq!(lo, covered, "ranges must be contiguous");
-                    covered = hi;
-                }
-                assert_eq!(covered, s.part(p).delta_from(rel));
-            }
-        }
     }
 }

@@ -15,8 +15,8 @@
 //! insertion order, so a column probe stops at the first out-of-window id;
 //! interval-overlap probes filter per id. The conjunctive matcher consumes
 //! the same watermarks as per-atom id bounds
-//! ([`TemporalInstance::find_matches_bounded`]), which is exactly the
-//! mechanism the semi-naive chase already uses for delta joins.
+//! ([`TemporalInstance::find_matches_bounded`]), the same mechanism the
+//! sharded store's delta-pivoted scopes use.
 
 use crate::fact_store::{FactStore, Generation};
 use crate::matcher::{Match, MatchError, SearchOptions, TemporalMode};

@@ -134,8 +134,9 @@ impl TemporalInstance {
 
     /// Seals the current contents as a generation (see
     /// [`FactStore::mark`]). Facts inserted afterwards form the delta that
-    /// [`TemporalInstance::find_matches_delta`](crate::matcher) joins
-    /// against.
+    /// [`TemporalInstance::facts_since`] returns; a
+    /// [`StoreSnapshot`](crate::snapshot::StoreSnapshot) reads at such a
+    /// watermark.
     pub fn mark_generation(&mut self) -> Generation {
         self.store.mark()
     }

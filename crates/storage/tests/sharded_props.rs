@@ -1,5 +1,5 @@
-//! Property tests for [`ShardedFactStore`]: for random fact sets, random
-//! partition boundaries and random hash-shard counts, the sharded store's
+//! Property tests for [`ShardedFactStore`]: for random fact sets and random
+//! partition boundaries, the sharded store's
 //! probe surface (`for_col` / `for_exact` / `for_overlap`, plus the counts
 //! and the generation log) must agree with a single flat [`FactStore`]
 //! holding the same facts — the contract that lets the matcher run over
@@ -71,13 +71,12 @@ proptest! {
     fn sharded_probes_agree_with_flat_store(
         facts in arb_facts(40),
         cuts in prop::collection::vec(1u64..60, 0..6),
-        hash_shards in 1usize..5,
         probe_iv in arb_interval(),
     ) {
         let inst = build_instance(&facts);
         let flat = inst.store();
         let tp = TimelinePartition::new(&Breakpoints::from_points(cuts.iter().copied()));
-        let sharded = ShardedFactStore::build_from(&inst, tp, hash_shards, true);
+        let sharded = ShardedFactStore::build_from(&inst, tp, true);
 
         prop_assert_eq!(sharded.total_len(), inst.total_len());
         for r in 0..2u32 {
@@ -139,7 +138,6 @@ proptest! {
         let sharded = ShardedFactStore::build_with_delta(
             inst.schema_arc(),
             tp,
-            1,
             true,
             |rel| {
                 (

@@ -207,18 +207,32 @@ fn incremental_without_batches_is_a_usage_error() {
     assert_eq!(out.status.code(), Some(2), "{out:?}");
     let stderr = String::from_utf8(out.stderr).unwrap();
     assert!(stderr.contains("no --batch files given"), "{stderr}");
-    // With a batch it still works (and verifies).
+    // With batches it still works, and --verify checks every input — the
+    // base load, a batch that only adds a null, and one whose salary
+    // merges into that null — against the reference chase.
     let dir = std::env::temp_dir().join("tdx-cli-incremental");
     std::fs::create_dir_all(&dir).unwrap();
-    let batch = dir.join("batch1.facts");
-    std::fs::write(&batch, "E(Cyd, IBM) @ [2013, 2016)\n").unwrap();
+    let batch1 = dir.join("batch1.facts");
+    std::fs::write(&batch1, "E(Cyd, IBM) @ [2013, 2016)\n").unwrap();
+    let batch2 = dir.join("batch2.facts");
+    std::fs::write(&batch2, "S(Cyd, 15k) @ [2014, 2016)\n").unwrap();
     let mut args = paper_args("incremental");
-    args.extend(["--batch".into(), batch.to_str().unwrap().into()]);
+    for batch in [&batch1, &batch2] {
+        args.extend(["--batch".into(), batch.to_str().unwrap().into()]);
+    }
     args.push("--verify".into());
     let out = tdx().args(&args).output().unwrap();
     assert!(out.status.success(), "{out:?}");
     let stderr = String::from_utf8(out.stderr).unwrap();
-    assert!(stderr.contains("verified hom-equivalent"), "{stderr}");
+    for label in ["base", "batch 1", "batch 2"] {
+        assert!(
+            stderr.contains(&format!("# {label}: verified hom-equivalent")),
+            "{label}: {stderr}"
+        );
+    }
+    // Cyd's salary is known from 2014 on, unknown before.
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(stdout.contains("15k"), "{stdout}");
 }
 
 #[test]

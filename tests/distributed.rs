@@ -105,7 +105,7 @@ fn unbounded_heavy_workload_is_deterministic_and_equivalent() {
         unbounded_sources > 0,
         "workload must exercise unbounded intervals"
     );
-    let seq = c_chase_with(&w.source, &w.mapping, &ChaseOptions::default()).unwrap();
+    let seq = c_chase_with(&w.source, &w.mapping, &ChaseOptions::legacy_scan()).unwrap();
     let one = c_chase_with(&w.source, &w.mapping, &ChaseOptions::distributed(1)).unwrap();
     assert!(hom_equivalent(
         &semantics(&seq.target),
@@ -169,9 +169,9 @@ fn incremental_batch_traffic_is_proportional_to_the_batch() {
             ..StreamConfig::default()
         },
     );
+    let session_opts = ChaseOptions::distributed(1);
     let mut session =
-        IncrementalExchange::with_options(stream.mapping.clone(), ChaseOptions::distributed(1))
-            .unwrap();
+        IncrementalExchange::with_options(stream.mapping.clone(), session_opts.clone()).unwrap();
     session
         .apply(&DeltaBatch::from_instance(&stream.base))
         .unwrap();
@@ -197,16 +197,21 @@ fn incremental_batch_traffic_is_proportional_to_the_batch() {
         base.apply_delta_bytes,
         base.apply_delta_facts,
     );
-    // The session still lands on the right answer. The recursive
+    // The session still lands on the right answer: the Definition-16
+    // reference with the session's other options. The recursive
     // homomorphism search needs more than a default 2 MiB test-thread
     // stack at this instance size, so the check runs on its own thread.
     let union = stream.union();
     let mapping = stream.mapping.clone();
     let incremental = session.target();
+    let reference = ChaseOptions {
+        engine: tdx::core::ChaseEngine::LegacyScan,
+        ..session_opts
+    };
     std::thread::Builder::new()
         .stack_size(64 << 20)
         .spawn(move || {
-            let scratch = c_chase_with(&union, &mapping, &ChaseOptions::default()).unwrap();
+            let scratch = c_chase_with(&union, &mapping, &reference).unwrap();
             assert!(hom_equivalent(
                 &semantics(&scratch.target),
                 &semantics(&incremental)

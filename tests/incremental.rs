@@ -1,9 +1,13 @@
 //! Incremental-exchange correctness: after every batch, the session's
 //! materialized target must be hom-equivalent to a from-scratch c-chase of
 //! the accumulated source — the oracle the whole incremental design is
-//! argued against (see `docs/incremental.md`).
+//! argued against (see `docs/incremental.md`). The from-scratch chase runs
+//! the Definition-16 reference (`ChaseEngine::LegacyScan`): the default
+//! engine is itself a one-batch session, so checking against it would
+//! compare the session with itself.
 
 use proptest::prelude::*;
+use tdx::core::ChaseEngine;
 use tdx::core::{hom_equivalent, is_solution_concrete, semantics};
 use tdx::workload::{
     employment_stream, nested_stream, random_stream, sparse_stream, BatchOrder, ClusteredConfig,
@@ -17,11 +21,15 @@ use tdx::{c_chase_with, ChaseOptions, DeltaBatch, IncrementalExchange, TdxError}
 fn replay_checked(stream: &DeltaStream, opts: &ChaseOptions) -> Option<IncrementalExchange> {
     let mut session =
         IncrementalExchange::with_options(stream.mapping.clone(), opts.clone()).unwrap();
+    let reference = ChaseOptions {
+        engine: ChaseEngine::LegacyScan,
+        ..opts.clone()
+    };
     let mut parts: Vec<&tdx::TemporalInstance> = vec![&stream.base];
     parts.extend(stream.batches.iter());
     for (i, part) in parts.into_iter().enumerate() {
         let scratch_source = session.source().clone_with(part);
-        let scratch = c_chase_with(&scratch_source, &stream.mapping, opts);
+        let scratch = c_chase_with(&scratch_source, &stream.mapping, &reference);
         match session.apply(&DeltaBatch::from_instance(part)) {
             Ok(_) => {
                 let scratch = scratch.unwrap_or_else(|e| {
