@@ -280,6 +280,13 @@ pub mod engine_suite {
                     }),
                 });
             }
+            // The public entry point: the session's sweep kernel.
+            out.push(Case {
+                id: format!("normalize_clustered/kernel/{clusters}"),
+                run: Box::new(move || {
+                    tdx_core::normalize::normalize(&data.0, &[data.1.as_slice()]).unwrap();
+                }),
+            });
         }
         out
     }

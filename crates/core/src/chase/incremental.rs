@@ -1636,10 +1636,7 @@ pub(crate) fn chase_as_one_batch(
 fn lists_to_instance(schema: &Arc<Schema>, lists: &FactLists) -> TemporalInstance {
     let mut out = TemporalInstance::new(Arc::clone(schema));
     for (r, facts) in lists.iter().enumerate() {
-        let rel = RelId(r as u32);
-        for fact in facts {
-            out.insert(rel, Arc::clone(&fact.data), fact.interval);
-        }
+        out.extend(RelId(r as u32), facts);
     }
     out
 }

@@ -60,13 +60,14 @@ pub(crate) fn run_tasks<R: Send>(
 ) -> Vec<R> {
     // Workers beyond the machine's cores only add spawn and scheduling
     // overhead — asking for 4 threads on a 1-core box must not be slower
-    // than asking for 1.
-    let threads = threads.min(
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-    );
-    if threads <= 1 || n <= 1 {
+    // than asking for 1. The core count is read only when the fan-out
+    // could matter: on Linux the query reads cgroup files (≈20 µs).
+    let threads = if threads <= 1 || n <= 1 {
+        1
+    } else {
+        threads.min(std::thread::available_parallelism().map_or(1, |n| n.get()))
+    };
+    if threads <= 1 {
         return (0..n).map(f).collect();
     }
     use std::sync::atomic::{AtomicUsize, Ordering};

@@ -156,7 +156,7 @@ fn load_instance(
 ) -> Result<TemporalInstance> {
     use crate::error::TdxError;
     let facts = tdx_logic::parse_facts(text).map_err(|e| TdxError::Invalid(e.to_string()))?;
-    let mut out = TemporalInstance::new(Arc::new(schema.clone()));
+    let mut rels: Vec<Vec<tdx_storage::TemporalFact>> = vec![Vec::new(); schema.len()];
     let mut null_names: tdx_storage::fxhash::FxHashMap<tdx_logic::Symbol, tdx_storage::NullId> =
         Default::default();
     let mut next_null = 0u64;
@@ -195,7 +195,14 @@ fn load_instance(
                 }
             })
             .collect();
-        out.insert(rel, data?.into(), f.interval);
+        rels[rel.0 as usize].push(tdx_storage::TemporalFact {
+            data: data?.into(),
+            interval: f.interval,
+        });
+    }
+    let mut out = TemporalInstance::new(Arc::new(schema.clone()));
+    for (r, facts) in rels.iter().enumerate() {
+        out.extend(tdx_logic::RelId(r as u32), facts);
     }
     Ok(out)
 }

@@ -14,14 +14,26 @@
 //!   satisfy some conjunction `φ∗ ∈ N(Φ⁺)` with overlapping intervals are
 //!   grouped (merging overlapping groups), and each group is fragmented at
 //!   its own endpoints only (Figures 5, 7→8).
+//!
+//! [`normalize`] runs the session's list kernel
+//! (`chase::partitioned::{discover_images, image_cuts, apply_cuts}`) once
+//! over the whole instance: the sweep overlap join for 2-atom bodies, the
+//! backtracking matcher over a one-partition sharded store for wider ones.
+//! [`normalize_with`] is the paper-literal reference: it enumerates every
+//! overlap image with the matcher ([`candidate_groups_with`]) and fragments
+//! the merged groups ([`normalize_with_groups`]). The Definition-16 chase
+//! driver and the naïve query oracle run the reference, so they never check
+//! the kernel against itself; `tests/equivalence.rs` checks the two against
+//! each other.
 
+use crate::chase::partitioned::{apply_cuts, discover_images, image_cuts, CutMap, FactLists};
 use crate::error::Result;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use tdx_logic::{Atom, RelId};
 use tdx_storage::fxhash::{FxHashMap, FxHashSet};
-use tdx_storage::{SearchOptions, TemporalInstance, TemporalMode};
-use tdx_temporal::{fragment_interval, Breakpoints, Interval};
+use tdx_storage::{check_conjunction, SearchOptions, TemporalFact, TemporalInstance, TemporalMode};
+use tdx_temporal::{fragment_interval, Breakpoints, Interval, TimelinePartition};
 
 /// A fact identity inside one instance: `(relation, row index)`.
 pub type FactRef = (RelId, u32);
@@ -31,10 +43,21 @@ pub type FactRef = (RelId, u32);
 pub fn naive_normalize(ic: &TemporalInstance) -> TemporalInstance {
     let bps = ic.endpoints();
     let mut out = TemporalInstance::new(ic.schema_arc());
-    for (rel, fact) in ic.iter_all() {
-        for iv in fragment_interval(&fact.interval, &bps) {
-            out.insert(rel, Arc::clone(&fact.data), iv);
-        }
+    for r in 0..ic.schema().len() {
+        let rel = RelId(r as u32);
+        let fragments: Vec<TemporalFact> = ic
+            .facts(rel)
+            .iter()
+            .flat_map(|fact| {
+                fragment_interval(&fact.interval, &bps)
+                    .into_iter()
+                    .map(|interval| TemporalFact {
+                        data: Arc::clone(&fact.data),
+                        interval,
+                    })
+            })
+            .collect();
+        out.extend(rel, &fragments);
     }
     out
 }
@@ -138,12 +161,48 @@ pub fn merge_image_sets(sets: &[Vec<FactRef>]) -> Vec<BTreeSet<FactRef>> {
 /// (Theorem 15) and represents the same abstract instance (fragmentation
 /// preserves `⟦·⟧`; null bases are kept, so the fragments of an annotated
 /// null `N^[s,e)` still denote the family `⟨N_s, …, N_{e−1}⟩`).
+///
+/// Runs the list kernel in one pass: every fact is settled (`pre`), all
+/// images are discovered over the whole timeline, and the cuts are applied
+/// once — Algorithm 1 fragments the input's groups, with no fixpoint. The
+/// output equals [`normalize_with`]'s as a set; fact order may differ.
 pub fn normalize(ic: &TemporalInstance, conjunctions: &[&[Atom]]) -> Result<TemporalInstance> {
-    normalize_with(ic, conjunctions, SearchOptions::default())
+    let schema = ic.schema_arc();
+    // The kernel skips bodies that cannot cut (fewer than two atoms), so
+    // check every body up front: the same errors the reference reports.
+    for atoms in conjunctions {
+        check_conjunction(atoms, &schema)?;
+    }
+    let nrels = schema.len();
+    let pre: FactLists = (0..nrels)
+        .map(|r| ic.facts(RelId(r as u32)).to_vec())
+        .collect();
+    let delta: FactLists = vec![Vec::new(); nrels];
+    let images = discover_images(
+        &schema,
+        &TimelinePartition::whole(),
+        &pre,
+        &delta,
+        None,
+        conjunctions,
+        1,
+        SearchOptions::default(),
+    )?;
+    let mut cuts = CutMap::default();
+    image_cuts(&images, &pre, &delta, &mut cuts);
+    let (pre, delta, _) = apply_cuts(nrels, &cuts, pre, delta);
+    let mut out = TemporalInstance::new(schema);
+    for (r, (p, d)) in pre.iter().zip(&delta).enumerate() {
+        out.extend(RelId(r as u32), p);
+        out.extend(RelId(r as u32), d);
+    }
+    Ok(out)
 }
 
-/// [`normalize`] with explicit search options (see
-/// [`candidate_groups_with`]).
+/// The paper-literal reference for [`normalize`]: image discovery by the
+/// backtracking matcher with explicit search options (see
+/// [`candidate_groups_with`]), then [`normalize_with_groups`]. The
+/// Definition-16 chase driver and the naïve query oracle call this.
 pub fn normalize_with(
     ic: &TemporalInstance,
     conjunctions: &[&[Atom]],

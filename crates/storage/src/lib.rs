@@ -45,7 +45,7 @@ pub mod wal;
 pub use codec::{ByteReader, ByteWriter, CodecError, Wire};
 pub use fact_store::{FactStore, Generation};
 pub use instance::Instance;
-pub use matcher::{Match, MatchError, SearchOptions, TemporalMode};
+pub use matcher::{check_conjunction, Match, MatchError, SearchOptions, TemporalMode};
 pub use sharded::{PartScope, PartView, ShardedFactStore};
 pub use snapshot::StoreSnapshot;
 pub use temporal_instance::{TemporalFact, TemporalInstance};

@@ -564,6 +564,13 @@ impl Default for SearchOptions {
     }
 }
 
+/// Checks that `atoms` is a non-empty conjunction over `schema` with
+/// matching arities — the errors every search reports before it
+/// enumerates anything.
+pub fn check_conjunction(atoms: &[Atom], schema: &Schema) -> Result<(), MatchError> {
+    Pattern::compile(atoms, schema).map(|_| ())
+}
+
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_search<S: Store>(
     store: &S,

@@ -252,8 +252,12 @@ impl ShardedFactStore {
     /// Materializes the logical instance (owner facts in global id order).
     pub fn to_instance(&self) -> TemporalInstance {
         let mut out = TemporalInstance::new(self.schema_arc());
-        for (rel, _, fact) in self.iter_all() {
-            out.insert(rel, Arc::clone(&fact.data), fact.interval);
+        for r in 0..self.schema.len() {
+            let rel = RelId(r as u32);
+            let facts: Vec<TemporalFact> = (0..self.len(rel) as u32)
+                .map(|gid| self.fact(rel, gid).clone())
+                .collect();
+            out.extend(rel, &facts);
         }
         out
     }
@@ -291,23 +295,6 @@ impl ShardedFactStore {
             let rel = RelId(r as u32);
             self.delta_start(rel, gen) < self.len(rel) as u32
         })
-    }
-
-    /// The partitions owning at least one fact added after `gen` was sealed
-    /// — the *dirty set* an incremental round has to re-match, keyed on the
-    /// generation watermark rather than the build-time pre/delta split.
-    /// Partitions outside this set cannot host a new shared-interval match
-    /// (all of their facts predate the watermark), so tgd/egd work scoped to
-    /// the dirty set plus boundary replicas is complete.
-    pub fn dirty_partitions(&self, gen: Generation) -> Vec<usize> {
-        let mut mark = vec![false; self.parts.len()];
-        for (r, locs) in self.loc.iter().enumerate() {
-            let start = self.delta_start(RelId(r as u32), gen) as usize;
-            for &(p, _) in &locs[start..] {
-                mark[p as usize] = true;
-            }
-        }
-        (0..self.parts.len()).filter(|&p| mark[p]).collect()
     }
 
     // ---- flat probe surface (global ids) -----------------------------
@@ -1025,37 +1012,5 @@ mod tests {
             names.into_iter().collect::<Vec<_>>(),
             vec!["Bob/Cyd", "Cyd/Bob", "Cyd/Cyd"]
         );
-    }
-
-    #[test]
-    fn dirty_partitions_track_the_generation_watermark() {
-        let inst = figure4();
-        let pre: Vec<Vec<TemporalFact>> = (0..2).map(|r| inst.facts(RelId(r)).to_vec()).collect();
-        // One delta fact landing in the upper partition only.
-        let delta_s = vec![TemporalFact {
-            data: row([Value::str("Cyd"), Value::str("9k")]),
-            interval: iv(2016, 2017),
-        }];
-        let empty: Vec<TemporalFact> = Vec::new();
-        let s = ShardedFactStore::build_with_delta(
-            schema(),
-            TimelinePartition::new(&Breakpoints::from_points([2014])),
-            false,
-            |rel| {
-                if rel.0 == 1 {
-                    (&pre[1], &delta_s)
-                } else {
-                    (&pre[0], &empty)
-                }
-            },
-        );
-        // Build split (generation 0): only the partition owning the delta
-        // fact is dirty.
-        assert_eq!(s.dirty_partitions(Generation(0)), vec![1]);
-        // A sealed generation covering everything has no dirty partitions.
-        let mut s = s;
-        let gen = s.mark();
-        assert!(s.dirty_partitions(gen).is_empty());
-        assert!(!s.has_delta_since(gen));
     }
 }

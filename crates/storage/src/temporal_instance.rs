@@ -87,6 +87,12 @@ impl TemporalInstance {
         self.store.insert(rel, data, interval)
     }
 
+    /// Bulk-inserts facts into one relation with a single interval-index
+    /// rebuild (see [`FactStore::extend`]); returns how many were new.
+    pub fn extend(&mut self, rel: RelId, facts: &[TemporalFact]) -> usize {
+        self.store.extend(rel, facts)
+    }
+
     /// Inserts by relation name. Panics on an unknown relation.
     pub fn insert_values<I: IntoIterator<Item = Value>>(
         &mut self,

@@ -210,6 +210,98 @@ fn sparse_clustered_normalization_agrees() {
     }
 }
 
+/// `normalize` (the session's sweep kernel, one pass over the whole
+/// timeline) against `normalize_with` (the matcher reference, full scans)
+/// on every shape the kernel distinguishes. tdxbench's normalized-fact
+/// count comes from `normalize` itself, so this is the check that the
+/// kernel is Algorithm 1.
+#[test]
+fn normalize_kernel_agrees_with_the_matcher_reference() {
+    use tdx::core::normalize::{has_empty_intersection_property, normalize, normalize_with};
+    use tdx::logic::{parse_tgd, Atom};
+    use tdx::storage::SearchOptions;
+    fn body(src: &str) -> Vec<Atom> {
+        parse_tgd(&format!("{src} -> Sink()")).unwrap().body
+    }
+    fn agree(label: &str, ic: &TemporalInstance, conjs: &[&[Atom]]) -> TemporalInstance {
+        let kernel = normalize(ic, conjs).unwrap();
+        let reference = normalize_with(ic, conjs, SearchOptions { use_indexes: false }).unwrap();
+        assert!(kernel == reference, "{label}: kernel ≠ matcher reference");
+        assert!(
+            has_empty_intersection_property(&kernel, conjs).unwrap(),
+            "{label}: output is not normalized"
+        );
+        kernel
+    }
+
+    // The benchmark's shape: employment with salary gaps, tgd bodies.
+    let employment = |persons| {
+        EmploymentWorkload::generate(&EmploymentConfig {
+            persons,
+            companies: 12,
+            horizon: 60,
+            salary_coverage: 0.7,
+            seed: 15,
+            ..EmploymentConfig::default()
+        })
+    };
+    let w = employment(100);
+    let out = agree("employment/tgd", &w.source, &w.mapping.tgd_bodies());
+    assert!(out.total_len() > w.source.total_len());
+
+    // A chased target with nulls under the egd's self-join body, whose
+    // images include diagonal ones (both atoms on one fact). Chasing
+    // without the egd and coalescing leaves each job's null overlapping
+    // the salary facts of the same (person, company).
+    let tgds_only = tdx::parse_mapping(
+        "source { E(name, company)  S(name, salary) }\n\
+         target { Emp(name, company, salary) }\n\
+         tgd st1: E(n,c) -> exists s . Emp(n,c,s)\n\
+         tgd st2: E(n,c) & S(n,s) -> Emp(n,c,s)\n",
+    )
+    .unwrap();
+    let target = c_chase_with(&w.source, &tgds_only, &indexed())
+        .unwrap()
+        .target
+        .coalesced();
+    assert!(!target.is_complete());
+    let egd = body("Emp(n,c,s) & Emp(n,c,s2)");
+    let out = agree("employment/egd", &target, &[&egd]);
+    assert!(out.total_len() > target.total_len());
+
+    // A 3-atom body: no sweep spec, so the kernel runs the matcher over a
+    // one-partition sharded store.
+    let small = employment(20);
+    let wide = body("E(n,c) & S(n,s) & E(m,c)");
+    let out = agree("employment/3-atom", &small.source, &[&wide]);
+    assert!(out.total_len() > small.source.total_len());
+
+    // A constant and a repeated variable: the sweep's per-atom constant
+    // and intra-atom equality filters.
+    let r = RandomWorkload::generate(&RandomConfig {
+        seed: 5,
+        facts: 300,
+        horizon: 24,
+        ..RandomConfig::default()
+    });
+    let filtered = body("Src0(x, 'd1', y) & Src1(y, z, z)");
+    let out = agree("random/filters", &r.source, &[&filtered]);
+    assert!(out.total_len() > r.source.total_len());
+
+    // Unknown relations fail on both paths, wide or not.
+    for src in ["E(n,c) & Nope(n)", "Nope(n)", "E(n,c) & S(n,s) & Nope(n)"] {
+        let bad = body(src);
+        assert!(
+            normalize(&w.source, &[&bad]).is_err(),
+            "kernel accepted {src}"
+        );
+        assert!(
+            normalize_with(&w.source, &[&bad], SearchOptions::default()).is_err(),
+            "reference accepted {src}"
+        );
+    }
+}
+
 #[test]
 fn random_workloads_agree() {
     for seed in 0..10u64 {
