@@ -1,6 +1,6 @@
 //! Benchmarks for Section 4.3: the c-chase end to end, plus the two design
-//! ablations called out in `DESIGN.md` (egd-round re-normalization and
-//! naïve source normalization).
+//! ablations of `ChaseOptions` (`renormalize_between_egd_rounds` and
+//! `naive_normalization`, documented in `crates/core/src/chase/concrete.rs`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;

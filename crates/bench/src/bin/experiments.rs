@@ -8,8 +8,9 @@
 //!
 //! Each experiment prints the paper-style artifact (a figure table or a
 //! measured series) and PASS/FAIL checks of the properties the paper
-//! asserts. The experiment index lives in `DESIGN.md`; the measured results
-//! are recorded in `EXPERIMENTS.md`.
+//! asserts; `--list` prints the experiment index. The process exits
+//! non-zero when any check fails, and `crates/bench/tests/experiments.rs`
+//! runs it as a test.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -634,7 +635,7 @@ fn exp_scale() -> bool {
 fn exp_renorm() -> bool {
     banner(
         "RENORM",
-        "finding: egd chains need re-normalization (DESIGN.md §7)",
+        "finding: egd chains need re-normalization (tests/renormalization.rs)",
     );
     let mapping = tdx_logic::parse_mapping(
         "source { S1(k, v)  Q0(u, k) }

@@ -206,15 +206,14 @@ pub mod engine_suite {
     /// The group prefix every case id lives under.
     pub const GROUP: &str = "c_chase/engine";
 
-    /// The engine ablation: indexed semi-naive vs legacy full scan vs the
-    /// partitioned parallel engine at 1 and 4 workers, across the
+    /// The engine ablation: indexed semi-naive vs the partitioned parallel
+    /// engine at 1 and 4 workers, across the
     /// employment and nested workload families, plus the
     /// normalization-dominated clustered probe. The 4-worker rows are
     /// skipped on single-core machines (see [`crate::multicore`]).
     pub fn cases() -> Vec<Case> {
         let mut engines: Vec<(&'static str, ChaseOptions)> = vec![
             ("indexed_semi_naive", ChaseOptions::default()),
-            ("legacy_scan", ChaseOptions::legacy_scan()),
             (
                 "partitioned_parallel/1",
                 ChaseOptions::partitioned_parallel(1),

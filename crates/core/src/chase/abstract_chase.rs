@@ -9,11 +9,11 @@
 //! one generator across epochs, so no base is reused between epochs.
 
 use crate::abstract_view::{ASnapshot, AValue, AbstractInstance, Epoch};
-use crate::chase::snapshot::{snapshot_chase, snapshot_chase_with};
+use crate::chase::snapshot::snapshot_chase;
 use crate::error::{Result, TdxError};
 use std::sync::Arc;
 use tdx_logic::SchemaMapping;
-use tdx_storage::{Instance, NullGen, SearchOptions, Value};
+use tdx_storage::{Instance, NullGen, Value};
 
 /// Converts a complete abstract snapshot into a storage instance.
 fn to_instance(snap: &ASnapshot) -> Result<Instance> {
@@ -55,131 +55,31 @@ fn to_asnapshot(db: &Instance, schema: Arc<tdx_logic::Schema>) -> ASnapshot {
 /// successful result is a universal solution; a failure means no solution
 /// exists.
 pub fn abstract_chase(ia: &AbstractInstance, mapping: &SchemaMapping) -> Result<AbstractInstance> {
-    abstract_chase_with(ia, mapping, SearchOptions::default())
-}
-
-/// [`abstract_chase`] with explicit matcher options, so the per-snapshot
-/// chases inherit the engine choice (indexed vs full-scan) end to end.
-pub fn abstract_chase_with(
-    ia: &AbstractInstance,
-    mapping: &SchemaMapping,
-    options: SearchOptions,
-) -> Result<AbstractInstance> {
     let target_schema = Arc::new(mapping.target().clone());
     let mut nulls = NullGen::new();
     let mut epochs = Vec::with_capacity(ia.epochs().len());
     for epoch in ia.epochs() {
         let src = to_instance(&epoch.snapshot)?;
-        let chased =
-            snapshot_chase_with(&src, mapping, &mut nulls, options).map_err(|e| match e {
-                TdxError::ChaseFailure {
-                    dependency,
-                    left,
-                    right,
-                    ..
-                } => TdxError::ChaseFailure {
-                    dependency,
-                    left,
-                    right,
-                    interval: Some(epoch.interval),
-                },
-                other => other,
-            })?;
+        let chased = snapshot_chase(&src, mapping, &mut nulls).map_err(|e| match e {
+            TdxError::ChaseFailure {
+                dependency,
+                left,
+                right,
+                ..
+            } => TdxError::ChaseFailure {
+                dependency,
+                left,
+                right,
+                interval: Some(epoch.interval),
+            },
+            other => other,
+        })?;
         epochs.push(Epoch {
             interval: epoch.interval,
             snapshot: to_asnapshot(&chased, Arc::clone(&target_schema)),
         });
     }
     AbstractInstance::from_epochs(target_schema, epochs)
-}
-
-/// [`abstract_chase`] with epoch-level parallelism.
-///
-/// The paper's definition makes snapshots *independent*: "the chase
-/// procedure [is applied] to each snapshot independently" (Section 3) — so
-/// epochs can be chased on separate threads. Each epoch draws its fresh
-/// nulls from a disjoint id range (epoch `i` starts at `i · 2³²`), which
-/// realizes the requirement that nulls differ across snapshots without any
-/// cross-thread coordination. The result is *identical* to the sequential
-/// chase up to null renaming (and byte-identical per epoch structure).
-///
-/// `threads = 0` resolves through the same knob as the concrete engine —
-/// `TDX_CHASE_THREADS`, then the machine — via
-/// [`worker_threads`](crate::chase::worker_threads); see also
-/// [`abstract_chase_parallel_opts`] to drive it from [`ChaseOptions`].
-pub fn abstract_chase_parallel(
-    ia: &AbstractInstance,
-    mapping: &SchemaMapping,
-    threads: usize,
-) -> Result<AbstractInstance> {
-    let threads = crate::chase::worker_threads(threads);
-    let target_schema = Arc::new(mapping.target().clone());
-    let n = ia.epochs().len();
-    if threads == 1 || n <= 1 {
-        return abstract_chase(ia, mapping);
-    }
-    let mut slots: Vec<Option<Result<Epoch>>> = Vec::new();
-    slots.resize_with(n, || None);
-    let slots = std::sync::Mutex::new(slots);
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(n) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let epoch = &ia.epochs()[i];
-                // Disjoint null ranges per epoch replace the shared
-                // generator; 2³² ids per epoch is far beyond any chase.
-                let mut nulls = NullGen::starting_at((i as u64) << 32);
-                let outcome = to_instance(&epoch.snapshot).and_then(|src| {
-                    snapshot_chase(&src, mapping, &mut nulls).map_err(|e| match e {
-                        TdxError::ChaseFailure {
-                            dependency,
-                            left,
-                            right,
-                            ..
-                        } => TdxError::ChaseFailure {
-                            dependency,
-                            left,
-                            right,
-                            interval: Some(epoch.interval),
-                        },
-                        other => other,
-                    })
-                });
-                let entry = outcome.map(|chased| Epoch {
-                    interval: epoch.interval,
-                    snapshot: to_asnapshot(&chased, Arc::clone(&target_schema)),
-                });
-                slots.lock().expect("slot lock")[i] = Some(entry);
-            });
-        }
-    });
-    let slots = slots.into_inner().expect("threads joined");
-    let mut epochs = Vec::with_capacity(n);
-    for slot in slots {
-        epochs.push(slot.expect("every epoch chased")?);
-    }
-    AbstractInstance::from_epochs(target_schema, epochs)
-}
-
-/// [`abstract_chase_parallel`] configured from [`ChaseOptions`]: the worker
-/// count comes from the engine choice
-/// ([`ChaseEngine::PartitionedParallel`](crate::chase::concrete::ChaseEngine)'s
-/// `threads`, else the `TDX_CHASE_THREADS`/machine default) — the one knob
-/// shared with the concrete chase.
-pub fn abstract_chase_parallel_opts(
-    ia: &AbstractInstance,
-    mapping: &SchemaMapping,
-    opts: &crate::chase::concrete::ChaseOptions,
-) -> Result<AbstractInstance> {
-    let requested = match opts.engine {
-        crate::chase::concrete::ChaseEngine::PartitionedParallel { threads } => threads,
-        _ => 0,
-    };
-    abstract_chase_parallel(ia, mapping, requested)
 }
 
 #[cfg(test)]
@@ -295,58 +195,6 @@ mod tests {
             }
             other => panic!("expected failure, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn parallel_chase_is_equivalent_to_sequential() {
-        let mapping = paper_mapping();
-        let ia = figure1(&mapping);
-        let sequential = abstract_chase(&ia, &mapping).unwrap();
-        for threads in [1usize, 2, 4, 16] {
-            let parallel = abstract_chase_parallel(&ia, &mapping, threads).unwrap();
-            assert!(
-                crate::hom::hom_equivalent(&sequential, &parallel),
-                "threads = {threads}"
-            );
-            assert_eq!(sequential.epochs().len(), parallel.epochs().len());
-        }
-    }
-
-    #[test]
-    fn options_drive_the_parallel_worker_knob() {
-        use crate::chase::concrete::ChaseOptions;
-        let mapping = paper_mapping();
-        let ia = figure1(&mapping);
-        let sequential = abstract_chase(&ia, &mapping).unwrap();
-        // The engine's thread count flows through; 0 resolves to the
-        // env/machine default — both must chase correctly.
-        for opts in [
-            ChaseOptions::partitioned_parallel(3),
-            ChaseOptions::partitioned_parallel(0),
-            ChaseOptions::default(),
-        ] {
-            let parallel = abstract_chase_parallel_opts(&ia, &mapping, &opts).unwrap();
-            assert!(crate::hom::hom_equivalent(&sequential, &parallel));
-        }
-    }
-
-    #[test]
-    fn parallel_chase_propagates_failures() {
-        let mapping = paper_mapping();
-        let schema = Arc::new(mapping.source().clone());
-        let mut b = AbstractInstanceBuilder::new(schema);
-        b.add("E", vec![AValue::str("Ada"), AValue::str("IBM")], iv(5, 9));
-        b.add("S", vec![AValue::str("Ada"), AValue::str("18k")], iv(5, 9));
-        b.add("S", vec![AValue::str("Ada"), AValue::str("20k")], iv(7, 8));
-        let ia = b.build();
-        let err = abstract_chase_parallel(&ia, &mapping, 4).unwrap_err();
-        assert!(matches!(
-            err,
-            TdxError::ChaseFailure {
-                interval: Some(i),
-                ..
-            } if i == iv(7, 8)
-        ));
     }
 
     #[test]

@@ -17,19 +17,21 @@
 //! Theorem 19 / Corollary 20: a successful result `J_c` satisfies
 //! `⟦J_c⟧ ∼ chase(⟦I_c⟧)`.
 //!
-//! [`c_chase_with`] runs this pipeline literally, over the whole instance,
-//! only for [`ChaseEngine::LegacyScan`]: it is the reference the tests
-//! check every other engine against. The local engines chase the source as
-//! one batch of an
+//! No engine runs these steps literally over the whole instance. The local
+//! engines chase the source as one batch of an
 //! [`IncrementalExchange`](crate::chase::incremental::IncrementalExchange)
-//! session, whose result is hom-equivalent (Corollary 20 asks no more).
+//! session, and the distributed engine runs the same steps over partition
+//! servers. Each result is a solution hom-equivalent to the abstract
+//! chase, and Theorem 19 and Corollary 20 ask no more; the tests check
+//! every engine against the abstract chase itself
+//! ([`check_against_abstract_chase`](crate::verify::check_against_abstract_chase)).
+//! This module holds the options, the result type and the pieces the
+//! engines share.
 
-use crate::error::{Result, TdxError};
-use crate::normalize::{naive_normalize, normalize_with};
-use std::sync::Arc;
+use crate::error::Result;
 use tdx_logic::{Atom, SchemaMapping, Term, Tgd, Var};
 use tdx_storage::fxhash::FxHashMap;
-use tdx_storage::{NullGen, NullId, SearchOptions, TemporalInstance, TemporalMode, Value};
+use tdx_storage::{NullId, TemporalInstance, Value};
 use tdx_temporal::Interval;
 
 /// Which engine the c-chase runs on.
@@ -43,12 +45,6 @@ pub enum ChaseEngine {
     /// threads resolve as for `PartitionedParallel { threads: 0 }`.
     #[default]
     IndexedSemiNaive,
-    /// The Definition-16 reference: the four steps of the c-chase run
-    /// literally over the whole instance, with full relation scans, and
-    /// every egd round re-enumerates every match and re-normalizes the
-    /// whole target. Slow on purpose; the oracle of the equivalence tests
-    /// and the ablation baseline of the benches.
-    LegacyScan,
     /// The session kernel of [`ChaseEngine::IndexedSemiNaive`] with an
     /// explicit worker-thread count for Algorithm-1 discovery. Its task
     /// decomposition does not depend on the count, so results are
@@ -66,8 +62,8 @@ pub enum ChaseEngine {
     /// (in-process channels or TCP child processes — see
     /// [`ChaseOptions::transport`]), while the coordinator keeps the
     /// global union-find and the normalization fixpoints.
-    /// Hom-equivalent to the reference and byte-identical across server
-    /// counts and transports. See
+    /// Hom-equivalent to the abstract chase and byte-identical across
+    /// server counts and transports. See
     /// `docs/distributed.md` and `docs/transport.md`.
     Distributed {
         /// Partition servers; `0` resolves from `TDX_CHASE_SERVERS`, then
@@ -94,9 +90,7 @@ pub struct ChaseOptions {
     pub coalesce_result: bool,
     /// Record a human-readable step trace in the result.
     pub record_trace: bool,
-    /// The engine (the one-batch session kernel by default; the
-    /// Definition-16 reference is kept for equivalence tests and ablation
-    /// benches).
+    /// The engine (the one-batch session kernel by default).
     pub engine: ChaseEngine,
     /// Transport backend for [`ChaseEngine::Distributed`]: `None` resolves
     /// from `TDX_CHASE_TRANSPORT` (default: in-process channels). Ignored
@@ -138,14 +132,6 @@ impl ChaseOptions {
         }
     }
 
-    /// Default options on the legacy full-scan engine.
-    pub fn legacy_scan() -> ChaseOptions {
-        ChaseOptions {
-            engine: ChaseEngine::LegacyScan,
-            ..ChaseOptions::default()
-        }
-    }
-
     /// Default options on the partitioned parallel engine. `threads = 0`
     /// resolves from `TDX_CHASE_THREADS` / the machine (see
     /// [`worker_threads`](crate::chase::worker_threads)).
@@ -180,13 +166,6 @@ impl ChaseOptions {
         self.frame_deadline = Some(deadline);
         self
     }
-
-    /// The matcher options implied by the engine choice.
-    pub fn search_options(&self) -> SearchOptions {
-        SearchOptions {
-            use_indexes: self.engine != ChaseEngine::LegacyScan,
-        }
-    }
 }
 
 /// Counters describing one c-chase run.
@@ -204,8 +183,8 @@ pub struct ChaseStats {
     pub target_facts_normalized: usize,
     /// Egd merge rounds executed.
     pub egd_rounds: usize,
-    /// Egd rounds that ran delta-restricted (not on the reference engine;
-    /// the first round is always a full enumeration).
+    /// Egd rounds that ran delta-restricted (the first round is always a
+    /// full enumeration).
     pub egd_delta_rounds: usize,
     /// Individual value identifications performed.
     pub egd_merges: usize,
@@ -313,83 +292,6 @@ impl AnnotatedUnionFind {
     }
 }
 
-/// Fragments facts so that any two facts sharing a null base have equal or
-/// disjoint intervals.
-///
-/// Definition 16 annotates every fresh null of one tgd step with `h(t)` and
-/// places it in *all* head facts of that step. When later normalization
-/// fragments those sibling facts differently, the "annotation = fact
-/// interval" invariant silently splits one annotated null into unaligned
-/// occurrences — and the `(base, interval)`-keyed egd rewrite would update
-/// one sibling but not the other, breaking `⟦·⟧` (the abstract chase
-/// rewrites the underlying `(base, ℓ)` nulls *everywhere*). Aligning the
-/// connected components of the "shares a base" relation at their common
-/// endpoints restores the invariant; fragmentation itself is always
-/// `⟦·⟧`-preserving.
-fn align_shared_nulls(target: &TemporalInstance) -> TemporalInstance {
-    let facts: Vec<(tdx_logic::RelId, &tdx_storage::TemporalFact)> = target.iter_all().collect();
-    let n = facts.len();
-    // Union-find over fact indices, connected through shared null bases.
-    let mut parent: Vec<usize> = (0..n).collect();
-    use crate::normalize::uf_find as find;
-    let mut owner: FxHashMap<NullId, usize> = FxHashMap::default();
-    let mut has_null = vec![false; n];
-    for (i, (_, fact)) in facts.iter().enumerate() {
-        for v in fact.data.iter() {
-            if let Value::Null(b) = v {
-                has_null[i] = true;
-                match owner.get(b) {
-                    Some(&j) => {
-                        let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
-                        if ri != rj {
-                            parent[ri] = rj;
-                        }
-                    }
-                    None => {
-                        owner.insert(*b, i);
-                    }
-                }
-            }
-        }
-    }
-    // Component breakpoints from member intervals (singleton components
-    // need no cuts — a fact is always aligned with itself).
-    let mut members: FxHashMap<usize, Vec<usize>> = FxHashMap::default();
-    for (i, hn) in has_null.iter().enumerate() {
-        if *hn {
-            members.entry(find(&mut parent, i)).or_default().push(i);
-        }
-    }
-    let mut bps: FxHashMap<usize, tdx_temporal::Breakpoints> = FxHashMap::default();
-    for (root, ms) in &members {
-        if ms.len() > 1 {
-            bps.insert(
-                *root,
-                tdx_temporal::Breakpoints::from_intervals(ms.iter().map(|&i| &facts[i].1.interval)),
-            );
-        }
-    }
-    let mut out = TemporalInstance::new(target.schema_arc());
-    for (i, (rel, fact)) in facts.iter().enumerate() {
-        let group_bps = if has_null[i] {
-            bps.get(&find(&mut parent, i))
-        } else {
-            None
-        };
-        match group_bps {
-            Some(b) => {
-                for iv in tdx_temporal::fragment_interval(&fact.interval, b) {
-                    out.insert(*rel, Arc::clone(&fact.data), iv);
-                }
-            }
-            None => {
-                out.insert(*rel, Arc::clone(&fact.data), fact.interval);
-            }
-        }
-    }
-    out
-}
-
 /// Runs the c-chase of `ic` w.r.t. `mapping` with default options.
 pub fn c_chase(ic: &TemporalInstance, mapping: &SchemaMapping) -> Result<CChaseResult> {
     c_chase_with(ic, mapping, &ChaseOptions::default())
@@ -405,9 +307,7 @@ pub fn c_chase(ic: &TemporalInstance, mapping: &SchemaMapping) -> Result<CChaseR
 /// session reaches a result hom-equivalent to the abstract chase
 /// (Corollary 20) without the whole-instance re-normalizations of the
 /// literal pipeline. [`ChaseEngine::Distributed`] runs the
-/// partition-server batch loop. [`ChaseEngine::LegacyScan`] runs the four
-/// steps of Definition 16 literally over the whole instance — the
-/// reference the tests check every other engine against.
+/// partition-server batch loop.
 pub fn c_chase_with(
     ic: &TemporalInstance,
     mapping: &SchemaMapping,
@@ -420,7 +320,6 @@ pub fn c_chase_with(
         ChaseEngine::Distributed { servers } => {
             crate::chase::cluster::coordinator::c_chase_distributed(ic, mapping, opts, servers)
         }
-        ChaseEngine::LegacyScan => c_chase_reference(ic, mapping, opts),
     }
 }
 
@@ -441,218 +340,12 @@ pub(crate) fn narrate_tgd_step(tgd: &Tgd, env: &[(Var, Value)], iv: Interval) ->
     )
 }
 
-/// Definition 16 step by step over the whole instance: normalize the
-/// source, fire every tgd step, normalize the target, then run egd rounds
-/// that each re-enumerate every match and re-normalize the whole target.
-fn c_chase_reference(
-    ic: &TemporalInstance,
-    mapping: &SchemaMapping,
-    opts: &ChaseOptions,
-) -> Result<CChaseResult> {
-    let mut stats = ChaseStats {
-        source_facts_in: ic.total_len(),
-        ..ChaseStats::default()
-    };
-    let mut trace: Vec<String> = Vec::new();
-    let log = |opts: &ChaseOptions, trace: &mut Vec<String>, msg: String| {
-        if opts.record_trace {
-            trace.push(msg);
-        }
-    };
-
-    let sopts = opts.search_options();
-
-    // Step 1: normalize the source w.r.t. the s-t tgd bodies.
-    let tgd_bodies = mapping.tgd_bodies();
-    let nsource = if opts.naive_normalization {
-        naive_normalize(ic)
-    } else {
-        normalize_with(ic, &tgd_bodies, sopts)?
-    };
-    stats.source_facts_normalized = nsource.total_len();
-    log(
-        opts,
-        &mut trace,
-        format!(
-            "normalized source w.r.t. Σst: {} → {} facts",
-            stats.source_facts_in, stats.source_facts_normalized
-        ),
-    );
-
-    // Step 2: s-t tgd c-chase steps.
-    let mut target = TemporalInstance::new(Arc::new(mapping.target().clone()));
-    let mut nulls = NullGen::new();
-    for tgd in mapping.st_tgds() {
-        let mut homs: Vec<(Vec<(Var, Value)>, Interval)> = Vec::new();
-        nsource.find_matches_with(&tgd.body, TemporalMode::Shared, &[], None, sopts, |m| {
-            homs.push((
-                m.bindings(),
-                m.shared_interval().expect("temporal store binds t"),
-            ));
-            true
-        })?;
-        let existentials = tgd.existential_vars();
-        for (h, iv) in homs {
-            if target.exists_match_with(&tgd.head, TemporalMode::Shared, &h, Some(iv), sopts)? {
-                continue;
-            }
-            let mut env = h;
-            for v in &existentials {
-                let n = nulls.fresh();
-                env.push((*v, Value::Null(n)));
-            }
-            for atom in &tgd.head {
-                let rel = mapping
-                    .target()
-                    .rel_id(atom.relation)
-                    .expect("validated head atom");
-                target.insert(rel, instantiate(atom, &env).into(), iv);
-            }
-            stats.tgd_steps += 1;
-            log(opts, &mut trace, narrate_tgd_step(tgd, &env, iv));
-        }
-    }
-    stats.nulls_created = nulls.peek();
-    stats.target_facts_after_tgd = target.total_len();
-
-    // Step 3: normalize the target w.r.t. the egd bodies, keeping sibling
-    // occurrences of shared annotated nulls aligned. Body normalization and
-    // base alignment can each expose cuts for the other, so iterate to a
-    // fixpoint; both only fragment at existing endpoints, so the fact count
-    // is monotone and bounded by the full elementary refinement.
-    let egd_bodies = mapping.egd_bodies();
-    let refragment = |target: &TemporalInstance, opts: &ChaseOptions| -> Result<TemporalInstance> {
-        if opts.naive_normalization {
-            // Naïve normalization cuts every fact at every endpoint — the
-            // output is aligned and normalized in one shot.
-            return Ok(naive_normalize(target));
-        }
-        let sopts = opts.search_options();
-        let mut current = if egd_bodies.is_empty() {
-            target.clone()
-        } else {
-            normalize_with(target, &egd_bodies, sopts)?
-        };
-        loop {
-            // Both passes only fragment, so an unchanged fact count means a
-            // fixpoint; in the common case (no shared bases cut apart)
-            // alignment is a no-op and `normalize` runs exactly once.
-            let aligned = align_shared_nulls(&current);
-            if aligned.total_len() == current.total_len() {
-                return Ok(aligned);
-            }
-            current = if egd_bodies.is_empty() {
-                aligned
-            } else {
-                let renormalized = normalize_with(&aligned, &egd_bodies, sopts)?;
-                if renormalized.total_len() == aligned.total_len() {
-                    return Ok(renormalized);
-                }
-                renormalized
-            };
-        }
-    };
-    if !egd_bodies.is_empty() || !target.nulls().is_empty() {
-        target = refragment(&target, opts)?;
-    }
-    stats.target_facts_normalized = target.total_len();
-    log(
-        opts,
-        &mut trace,
-        format!(
-            "normalized target w.r.t. Σeg: {} → {} facts",
-            stats.target_facts_after_tgd, stats.target_facts_normalized
-        ),
-    );
-
-    // Step 4: egd c-chase steps to fixpoint. Every round re-enumerates
-    // every match of every egd body over the whole target.
-    loop {
-        let mut uf = AnnotatedUnionFind::new();
-        let mut merges = 0usize;
-        let mut conflict: Option<(String, UfKey, UfKey, Interval)> = None;
-        for egd in mapping.egds() {
-            target.find_matches_with(&egd.body, TemporalMode::Shared, &[], None, sopts, |m| {
-                let iv = m.shared_interval().expect("temporal store binds t");
-                let a = m.value(egd.lhs).expect("egd lhs in body");
-                let b = m.value(egd.rhs).expect("egd rhs in body");
-                if a == b {
-                    return true;
-                }
-                let key = |v: Value| match v {
-                    Value::Const(c) => UfKey::Const(c),
-                    Value::Null(n) => UfKey::Null(n, iv),
-                };
-                match uf.union(key(a), key(b)) {
-                    Ok(()) => {
-                        merges += 1;
-                        true
-                    }
-                    Err((c1, c2)) => {
-                        conflict = Some((
-                            egd.name.clone().unwrap_or_else(|| egd.to_string()),
-                            c1,
-                            c2,
-                            iv,
-                        ));
-                        false
-                    }
-                }
-            })?;
-            if conflict.is_some() {
-                break;
-            }
-        }
-        if let Some((name, c1, c2, iv)) = conflict {
-            let render = |k: UfKey| match k {
-                UfKey::Const(c) => c.to_string(),
-                UfKey::Null(n, _) => n.to_string(),
-            };
-            return Err(TdxError::ChaseFailure {
-                dependency: name,
-                left: render(c1),
-                right: render(c2),
-                interval: Some(iv),
-            });
-        }
-        if merges == 0 {
-            break;
-        }
-        stats.egd_rounds += 1;
-        stats.egd_merges += merges;
-        log(
-            opts,
-            &mut trace,
-            format!("egd round {}: {} identifications", stats.egd_rounds, merges),
-        );
-        let next = target.map_values(|v, fact_iv| uf.resolve(v, fact_iv));
-        target = if opts.renormalize_between_egd_rounds {
-            // Rewriting can merge bases (new sharing) and create new data
-            // joins — restore both invariants.
-            refragment(&next, opts)?
-        } else {
-            // Even in paper-faithful mode the annotated-null bookkeeping
-            // must stay coherent: keep sibling occurrences aligned.
-            align_shared_nulls(&next)
-        };
-    }
-
-    if opts.coalesce_result {
-        target = target.coalesced();
-    }
-    stats.target_facts_out = target.total_len();
-    Ok(CChaseResult {
-        target,
-        normalized_source: nsource,
-        stats,
-        trace,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::TdxError;
     use crate::semantics::semantics;
+    use std::sync::Arc;
     use tdx_logic::RelId;
     use tdx_logic::{parse_egd, parse_schema, parse_tgd};
     use tdx_storage::row;

@@ -59,11 +59,11 @@
 //! back (the target is rebuilt from the pre-batch source, which was
 //! consistent) and returns the failure, staying usable.
 //!
-//! The correctness oracle is hom-equivalence to a from-scratch chase of the
-//! accumulated source after every batch, run on the Definition-16
-//! reference (`ChaseEngine::LegacyScan`) so the session is never checked
-//! against itself (`tests/incremental.rs`); the argument is spelled out in
-//! `docs/incremental.md`.
+//! The correctness oracle is the paper's abstract chase of the accumulated
+//! source after every batch: the target must be hom-equivalent to it, or
+//! both must fail (Corollary 20, Theorem 19(2); `tests/incremental.rs`).
+//! The session is never checked against itself, and the argument is
+//! spelled out in `docs/incremental.md`.
 
 use crate::chase::cluster::{
     classify_check, fold_merge_ops, is_transport_error, memo_probe_key, resolve_transport,
@@ -492,7 +492,6 @@ pub struct IncrementalExchange {
     mapping: Arc<SchemaMapping>,
     opts: ChaseOptions,
     threads: usize,
-    sopts: SearchOptions,
     src_schema: Arc<Schema>,
     tgt_schema: Arc<Schema>,
 
@@ -566,7 +565,6 @@ impl IncrementalExchange {
             ChaseEngine::Distributed { servers } => crate::chase::server_count(servers),
             _ => 0,
         };
-        let sopts = opts.search_options();
         let src_schema = Arc::new(mapping.source().clone());
         let tgt_schema = Arc::new(mapping.target().clone());
         let mut plans = Vec::new();
@@ -617,7 +615,6 @@ impl IncrementalExchange {
             mapping: Arc::new(mapping),
             opts,
             threads,
-            sopts,
             src_schema,
             tgt_schema,
             source: vec![Vec::new(); nsrcs],
@@ -998,7 +995,7 @@ impl IncrementalExchange {
                         &self.mapping,
                         &self.tp,
                         self.servers,
-                        self.sopts,
+                        SearchOptions::default(),
                         spawner,
                         self.opts.frame_deadline,
                     )?,
@@ -1044,7 +1041,7 @@ impl IncrementalExchange {
             &self.mapping,
             &self.tp,
             self.servers,
-            self.sopts,
+            SearchOptions::default(),
             spawner,
             self.opts.frame_deadline,
             [&self.nsrc, &self.tgt],
@@ -1193,7 +1190,7 @@ impl IncrementalExchange {
             &self.src_schema,
             &self.tp,
             self.threads,
-            self.sopts,
+            SearchOptions::default(),
             Some(&tgd_bodies),
             self.opts.naive_normalization,
             pre,
@@ -1311,7 +1308,7 @@ impl IncrementalExchange {
                             TemporalMode::Shared,
                             &h,
                             Some(iv),
-                            self.sopts,
+                            SearchOptions::default(),
                         )? {
                             continue;
                         }
@@ -1368,7 +1365,7 @@ impl IncrementalExchange {
                 &self.tgt_schema,
                 &self.tp,
                 self.threads,
-                self.sopts,
+                SearchOptions::default(),
                 Some(&egd_bodies),
                 self.opts.naive_normalization,
                 pre,
@@ -1461,7 +1458,7 @@ impl IncrementalExchange {
                     &self.tgt_schema,
                     &self.tp,
                     self.threads,
-                    self.sopts,
+                    SearchOptions::default(),
                     renorm,
                     self.opts.naive_normalization,
                     npre,
@@ -1644,9 +1641,9 @@ fn lists_to_instance(schema: &Arc<Schema>, lists: &FactLists) -> TemporalInstanc
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::chase::concrete::c_chase_with;
     use crate::hom::hom_equivalent;
     use crate::semantics::semantics;
+    use crate::verify::check_against_abstract_chase;
     use tdx_logic::{parse_egd, parse_schema, parse_tgd};
     use tdx_storage::row;
 
@@ -1703,25 +1700,14 @@ pub(crate) mod tests {
         b
     }
 
-    /// Checks the session against the Definition-16 reference run
-    /// with the session's other options — never against the default
-    /// engine, which is itself a one-batch session.
+    /// Checks the session against the abstract chase of its accumulated
+    /// source — never against the default engine, which is itself a
+    /// one-batch session.
     fn assert_matches_from_scratch(session: &IncrementalExchange) {
-        let source = session.source();
-        let reference = ChaseOptions {
-            engine: ChaseEngine::LegacyScan,
-            ..session.opts.clone()
-        };
-        let scratch = c_chase_with(&source, session.mapping(), &reference).unwrap();
-        let inc = session.target();
-        assert!(
-            hom_equivalent(&semantics(&scratch.target), &semantics(&inc)),
-            "incremental target diverged from from-scratch chase"
-        );
-        assert!(
-            crate::verify::is_solution_concrete(&source, &inc, session.mapping()).unwrap(),
-            "incremental target is not a solution"
-        );
+        let (source, inc) = (session.source(), session.target());
+        if let Err(e) = check_against_abstract_chase(&source, session.mapping(), Ok(&inc)) {
+            panic!("incremental target diverged from the abstract chase: {e}");
+        }
     }
 
     #[test]

@@ -6,7 +6,14 @@
 //!   an abstract instance independently, with fresh nulls per snapshot
 //!   (per-point null families per epoch);
 //! * [`concrete`] — Section 4.3: the **c-chase** on concrete instances,
-//!   with normalization and interval-annotated nulls.
+//!   with normalization and interval-annotated nulls. The engines run it
+//!   as a session batch ([`incremental`]) or over partition servers
+//!   ([`cluster`]).
+//!
+//! The abstract chase is also the oracle of the concrete engines: by
+//! Theorem 19 and Corollary 20 every engine's result must be a solution
+//! hom-equivalent to it, or fail with it
+//! ([`check_against_abstract_chase`](crate::verify::check_against_abstract_chase)).
 
 pub mod abstract_chase;
 pub mod cluster;
@@ -16,7 +23,7 @@ pub mod incremental;
 pub(crate) mod partitioned;
 pub mod snapshot;
 
-pub use abstract_chase::{abstract_chase, abstract_chase_parallel, abstract_chase_parallel_opts};
+pub use abstract_chase::abstract_chase;
 pub use cluster::{
     snapshot_consistent, ChaosSpawner, DistributedCluster, FaultKind, FaultPlan, FaultSpec,
     Message, Response, ServerHealth, StoreKind, TrafficStats, Transport, TransportKind,
@@ -71,9 +78,8 @@ fn parse_env_knob(v: &str) -> Result<Option<usize>, ()> {
     }
 }
 
-/// Resolves a worker-thread request into a concrete count — the one knob
-/// shared by [`ChaseEngine::PartitionedParallel`](concrete::ChaseEngine) and
-/// [`abstract_chase_parallel`]: an explicit `requested > 0` wins; `0` falls
+/// Resolves a worker-thread request into a concrete count for
+/// [`ChaseEngine::PartitionedParallel`](concrete::ChaseEngine): an explicit `requested > 0` wins; `0` falls
 /// back to the `TDX_CHASE_THREADS` environment variable (a non-numeric
 /// value is reported once to stderr and ignored), then to the machine's
 /// available parallelism (capped at 8 — the chase's partition fan-out

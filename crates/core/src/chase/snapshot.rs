@@ -8,7 +8,7 @@
 use crate::error::{Result, TdxError};
 use tdx_logic::{Atom, Egd, SchemaMapping, Term, Tgd, Var};
 use tdx_storage::fxhash::FxHashMap;
-use tdx_storage::{Instance, NullGen, SearchOptions, Value};
+use tdx_storage::{Instance, NullGen, Value};
 
 /// Instantiates a head atom under a (complete) variable assignment.
 fn instantiate(atom: &Atom, env: &[(Var, Value)]) -> Vec<Value> {
@@ -34,30 +34,19 @@ pub fn st_tgd_phase(
     tgds: &[Tgd],
     nulls: &mut NullGen,
 ) -> Result<usize> {
-    st_tgd_phase_with(source, target, tgds, nulls, SearchOptions::default())
-}
-
-/// [`st_tgd_phase`] with explicit matcher options.
-pub fn st_tgd_phase_with(
-    source: &Instance,
-    target: &mut Instance,
-    tgds: &[Tgd],
-    nulls: &mut NullGen,
-    options: SearchOptions,
-) -> Result<usize> {
     let mut steps = 0;
     for tgd in tgds {
         // The body only mentions source relations, so the homomorphism set
         // is fixed; collect first, then check extensions against the
         // growing target.
         let mut homs: Vec<Vec<(Var, Value)>> = Vec::new();
-        source.find_matches_with(&tgd.body, &[], options, |m| {
+        source.find_matches(&tgd.body, &[], |m| {
             homs.push(m.bindings());
             true
         })?;
         let existentials = tgd.existential_vars();
         for h in homs {
-            if target.exists_match_with(&tgd.head, &h, options)? {
+            if target.exists_match(&tgd.head, &h)? {
                 continue; // h extends to the target — nothing to do
             }
             let mut env = h;
@@ -136,15 +125,6 @@ impl ValueUnionFind {
 /// equates two distinct constants. Returns the rewritten instance and the
 /// number of merge rounds performed.
 pub fn egd_phase(target: &Instance, egds: &[Egd]) -> Result<(Instance, usize)> {
-    egd_phase_with(target, egds, SearchOptions::default())
-}
-
-/// [`egd_phase`] with explicit matcher options.
-pub fn egd_phase_with(
-    target: &Instance,
-    egds: &[Egd],
-    options: SearchOptions,
-) -> Result<(Instance, usize)> {
     let mut current = target.clone();
     let mut rounds = 0;
     loop {
@@ -152,7 +132,7 @@ pub fn egd_phase_with(
         let mut any = false;
         let mut conflict: Option<(String, Value, Value)> = None;
         for egd in egds {
-            current.find_matches_with(&egd.body, &[], options, |m| {
+            current.find_matches(&egd.body, &[], |m| {
                 let a = m.value(egd.lhs).expect("egd lhs var is in body");
                 let b = m.value(egd.rhs).expect("egd rhs var is in body");
                 if a != b {
@@ -196,20 +176,9 @@ pub fn snapshot_chase(
     mapping: &SchemaMapping,
     nulls: &mut NullGen,
 ) -> Result<Instance> {
-    snapshot_chase_with(source, mapping, nulls, SearchOptions::default())
-}
-
-/// [`snapshot_chase`] with explicit matcher options (the full-scan path is
-/// kept reachable for the ablation benches).
-pub fn snapshot_chase_with(
-    source: &Instance,
-    mapping: &SchemaMapping,
-    nulls: &mut NullGen,
-    options: SearchOptions,
-) -> Result<Instance> {
     let mut target = Instance::with_schema(mapping.target().clone());
-    st_tgd_phase_with(source, &mut target, mapping.st_tgds(), nulls, options)?;
-    let (result, _) = egd_phase_with(&target, mapping.egds(), options)?;
+    st_tgd_phase(source, &mut target, mapping.st_tgds(), nulls)?;
+    let (result, _) = egd_phase(&target, mapping.egds())?;
     Ok(result)
 }
 

@@ -10,7 +10,7 @@ use crate::chase::abstract_chase::abstract_chase;
 use crate::chase::concrete::{c_chase_with, CChaseResult, ChaseOptions};
 use crate::error::Result;
 use crate::query::certain::{certain_answers_abstract, EpochAnswers};
-use crate::query::concrete::{naive_eval_concrete_with, TemporalAnswers};
+use crate::query::concrete::{naive_eval_concrete, TemporalAnswers};
 use crate::semantics::semantics;
 use crate::verify::is_solution_concrete;
 use std::sync::Arc;
@@ -126,7 +126,7 @@ impl DataExchange {
         q: &UnionQuery,
     ) -> Result<TemporalAnswers> {
         let solution = self.exchange(source)?;
-        naive_eval_concrete_with(&solution.target, q, self.options.search_options())
+        naive_eval_concrete(&solution.target, q)
     }
 
     /// Certain answers via the abstract route (for cross-checking).

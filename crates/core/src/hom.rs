@@ -11,11 +11,219 @@
 //!   a [`AValue::Rigid`] null spanning several time points can never map to
 //!   a [`AValue::PerPoint`] family (`J₁ ↛ J₂`), while per-point families map
 //!   onto rigid nulls pointwise (`J₂ → J₁`).
+//!
+//! Both run on one search core. A ground source fact is a membership test.
+//! The other facts split into blocks connected by shared nulls; blocks share
+//! no null, so each is searched on its own (Fagin, Kolaitis & Popa, "Data
+//! exchange: getting to the core", TODS 2005) and a failing block never
+//! backtracks through an independent one. Inside a block the search keeps
+//! an explicit stack, so its depth costs no call frames, and it finds the
+//! candidate target facts by probing a value index on a bound column.
 
 use crate::abstract_view::{ASnapshot, AValue, AbstractInstance};
+use std::hash::Hash;
 use tdx_logic::RelId;
 use tdx_storage::fxhash::FxHashMap;
-use tdx_storage::{Instance, NullId, Row, Value};
+use tdx_storage::{Instance, NullId, Value};
+
+// ---------------------------------------------------------------------
+// The search core
+// ---------------------------------------------------------------------
+
+/// One column of a non-ground source fact: the value the target fact must
+/// carry there, or a null variable of the search.
+#[derive(Clone, Copy)]
+enum Term<V> {
+    Fixed(V),
+    Var(usize),
+}
+
+/// A source fact with at least one null: the target snapshot it must map
+/// into, its relation and its columns.
+struct Goal<V> {
+    ctx: usize,
+    rel: RelId,
+    terms: Vec<Term<V>>,
+}
+
+/// One relation of one target snapshot, with a value index per column.
+struct TargetRel<'a, V> {
+    rows: Vec<&'a [V]>,
+    all: Vec<u32>,
+    cols: Vec<FxHashMap<V, Vec<u32>>>,
+}
+
+impl<'a, V: Copy + Eq + Hash> TargetRel<'a, V> {
+    fn new(rows: Vec<&'a [V]>, arity: usize) -> Self {
+        let mut cols: Vec<FxHashMap<V, Vec<u32>>> = vec![FxHashMap::default(); arity];
+        for (id, row) in (0u32..).zip(&rows) {
+            for (col, v) in cols.iter_mut().zip(row.iter()) {
+                col.entry(*v).or_default().push(id);
+            }
+        }
+        let all = (0u32..).take(rows.len()).collect();
+        TargetRel { rows, all, cols }
+    }
+
+    /// The rows that can match `goal` under `assign`: the shortest index
+    /// list over its fixed and bound columns, or every row when it has none.
+    fn candidates(&self, goal: &Goal<V>, assign: &[Option<V>]) -> &[u32] {
+        let mut best: &[u32] = &self.all;
+        for (col, term) in goal.terms.iter().enumerate() {
+            let value = match term {
+                Term::Fixed(v) => Some(v),
+                Term::Var(x) => assign[*x].as_ref(),
+            };
+            if let Some(v) = value {
+                let list = self.cols[col].get(v).map_or(&[][..], Vec::as_slice);
+                if list.len() <= best.len() {
+                    best = list;
+                }
+            }
+        }
+        best
+    }
+}
+
+/// Binds `goal`'s variables to `row`, recording new bindings in `bound`.
+/// Returns `false` (with `bound`'s bindings undone) when the row does not
+/// match.
+fn unify<V: Copy + Eq>(
+    goal: &Goal<V>,
+    row: &[V],
+    assign: &mut [Option<V>],
+    bound: &mut Vec<usize>,
+    admissible: &impl Fn(usize, &V) -> bool,
+) -> bool {
+    for (term, v) in goal.terms.iter().zip(row) {
+        let ok = match term {
+            Term::Fixed(w) => w == v,
+            Term::Var(x) => match assign[*x] {
+                Some(w) => w == *v,
+                None => {
+                    assign[*x] = Some(*v);
+                    bound.push(*x);
+                    admissible(*x, v)
+                }
+            },
+        };
+        if !ok {
+            for x in bound.drain(..) {
+                assign[x] = None;
+            }
+            return false;
+        }
+    }
+    true
+}
+
+/// The connected components of the goals under "shares a variable", most
+/// constrained goal first and then breadth-first, so that every later goal
+/// probes on a column an earlier one bound.
+fn blocks<V>(goals: &[Goal<V>], vars: usize) -> Vec<Vec<usize>> {
+    let var_terms = |g: usize| {
+        goals[g].terms.iter().filter_map(|t| match t {
+            Term::Var(x) => Some(*x),
+            Term::Fixed(_) => None,
+        })
+    };
+    let mut users: Vec<Vec<usize>> = vec![Vec::new(); vars];
+    for g in 0..goals.len() {
+        var_terms(g).for_each(|x| users[x].push(g));
+    }
+    let mut starts: Vec<usize> = (0..goals.len()).collect();
+    starts.sort_by_key(|&g| var_terms(g).count());
+    let (mut seen, mut var_seen) = (vec![false; goals.len()], vec![false; vars]);
+    let mut out = Vec::new();
+    for start in starts {
+        if std::mem::replace(&mut seen[start], true) {
+            continue;
+        }
+        let mut block = vec![start];
+        let mut next = 0;
+        while let Some(&g) = block.get(next) {
+            next += 1;
+            for x in var_terms(g) {
+                if !std::mem::replace(&mut var_seen[x], true) {
+                    for &h in &users[x] {
+                        if !std::mem::replace(&mut seen[h], true) {
+                            block.push(h);
+                        }
+                    }
+                }
+            }
+        }
+        out.push(block);
+    }
+    out
+}
+
+/// Finds an assignment of the `vars` variables under which every goal maps
+/// onto a row of `rows(ctx, rel)`, binding a variable to a value only when
+/// `admissible` allows it. Returns `None` when no assignment exists.
+fn solve<'a, V, I>(
+    goals: &[Goal<V>],
+    vars: usize,
+    rows: impl Fn(usize, RelId) -> I,
+    admissible: impl Fn(usize, &V) -> bool,
+) -> Option<Vec<Option<V>>>
+where
+    V: Copy + Eq + Hash + 'a,
+    I: Iterator<Item = &'a [V]>,
+{
+    let mut targets: FxHashMap<(usize, RelId), TargetRel<'a, V>> = FxHashMap::default();
+    for goal in goals {
+        targets.entry((goal.ctx, goal.rel)).or_insert_with(|| {
+            TargetRel::new(rows(goal.ctx, goal.rel).collect(), goal.terms.len())
+        });
+    }
+    let target = |g: usize| &targets[&(goals[g].ctx, goals[g].rel)];
+    let mut assign: Vec<Option<V>> = vec![None; vars];
+    for block in blocks(goals, vars) {
+        // One frame per placed goal: its candidates, the next one to try,
+        // and the variables the current candidate bound.
+        let frame = |g: usize, assign: &[Option<V>]| {
+            (g, target(g).candidates(&goals[g], assign), 0, Vec::new())
+        };
+        let mut stack = vec![frame(block[0], &assign)];
+        loop {
+            let depth = stack.len();
+            let (g, candidates, next, bound) = stack.last_mut()?;
+            for x in bound.drain(..) {
+                assign[x] = None;
+            }
+            let rows = &target(*g).rows;
+            let matched = candidates[*next..].iter().position(|&id| {
+                unify(
+                    &goals[*g],
+                    rows[id as usize],
+                    &mut assign,
+                    bound,
+                    &admissible,
+                )
+            });
+            let Some(i) = matched else {
+                stack.pop();
+                continue;
+            };
+            *next += i + 1;
+            if depth == block.len() {
+                break;
+            }
+            let placed = frame(block[depth], &assign);
+            stack.push(placed);
+        }
+    }
+    Some(assign)
+}
+
+/// The dense variable number of a null key, assigned on first sight.
+fn var_id<K: Copy + Eq + Hash>(ids: &mut FxHashMap<K, usize>, keys: &mut Vec<K>, key: K) -> usize {
+    *ids.entry(key).or_insert_with(|| {
+        keys.push(key);
+        keys.len() - 1
+    })
+}
 
 // ---------------------------------------------------------------------
 // Snapshot-level homomorphisms
@@ -25,60 +233,41 @@ use tdx_storage::{Instance, NullId, Row, Value};
 /// labeled nulls to values that is the identity on constants and sends every
 /// fact of `from` to a fact of `to`. Returns the null mapping if one exists.
 pub fn snapshot_hom(from: &Instance, to: &Instance) -> Option<FxHashMap<NullId, Value>> {
-    let mut facts: Vec<(RelId, &Row)> = from.iter_all().collect();
-    // Most-constrained first: facts with fewer nulls prune faster.
-    facts.sort_by_key(|(_, row)| row.iter().filter(|v| v.is_null()).count());
-    let mut assign: FxHashMap<NullId, Value> = FxHashMap::default();
-    if search_snapshot(&facts, 0, to, &mut assign) {
-        Some(assign)
-    } else {
-        None
+    let (mut ids, mut keys) = (FxHashMap::default(), Vec::new());
+    let mut goals = Vec::new();
+    for (rel, row) in from.iter_all() {
+        if row.iter().all(|v| !v.is_null()) {
+            if !to.contains(rel, row) {
+                return None;
+            }
+            continue;
+        }
+        let terms = row
+            .iter()
+            .map(|v| match v {
+                Value::Const(_) => Term::Fixed(*v),
+                Value::Null(n) => Term::Var(var_id(&mut ids, &mut keys, *n)),
+            })
+            .collect();
+        goals.push(Goal { ctx: 0, rel, terms });
     }
+    let assign = solve(
+        &goals,
+        keys.len(),
+        |_, rel| to.rows(rel).iter().map(|r| &r[..]),
+        |_, _| true,
+    )?;
+    Some(
+        keys.into_iter()
+            .zip(assign)
+            .filter_map(|(n, v)| Some((n, v?)))
+            .collect(),
+    )
 }
 
 /// Whether the two snapshots are homomorphically equivalent.
 pub fn hom_equivalent_snapshots(a: &Instance, b: &Instance) -> bool {
     snapshot_hom(a, b).is_some() && snapshot_hom(b, a).is_some()
-}
-
-fn search_snapshot(
-    facts: &[(RelId, &Row)],
-    depth: usize,
-    to: &Instance,
-    assign: &mut FxHashMap<NullId, Value>,
-) -> bool {
-    let Some((rel, row)) = facts.get(depth) else {
-        return true;
-    };
-    'candidates: for cand in to.rows(*rel) {
-        let mut newly: Vec<NullId> = Vec::new();
-        for (a, b) in row.iter().zip(cand.iter()) {
-            let ok = match a {
-                Value::Const(_) => a == b,
-                Value::Null(n) => match assign.get(n) {
-                    Some(mapped) => mapped == b,
-                    None => {
-                        assign.insert(*n, *b);
-                        newly.push(*n);
-                        true
-                    }
-                },
-            };
-            if !ok {
-                for n in newly {
-                    assign.remove(&n);
-                }
-                continue 'candidates;
-            }
-        }
-        if search_snapshot(facts, depth + 1, to, assign) {
-            return true;
-        }
-        for n in newly {
-            assign.remove(&n);
-        }
-    }
-    false
 }
 
 // ---------------------------------------------------------------------
@@ -94,28 +283,13 @@ enum SrcKey {
     Rigid(NullId),
 }
 
-/// The image of a source null inside one epoch. `PerPoint(b')` means the
-/// pointwise-aligned mapping `(b, ℓ) ↦ (b', ℓ)`.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum TgtVal {
-    Const(tdx_logic::Constant),
-    Rigid(NullId),
-    PerPoint(NullId),
-}
-
-fn tgt_val(v: &AValue) -> TgtVal {
-    match v {
-        AValue::Const(c) => TgtVal::Const(*c),
-        AValue::Rigid(b) => TgtVal::Rigid(*b),
-        AValue::PerPoint(b) => TgtVal::PerPoint(*b),
-    }
-}
-
 /// Searches for an abstract homomorphism `from → to`.
 ///
 /// Implements Section 3's definition on the finite epoch representation: one
 /// global null mapping whose restriction to every snapshot is a snapshot
-/// homomorphism. Scope rules:
+/// homomorphism. A source null binds to a target value of its epoch, where
+/// `PerPoint(b')` means the pointwise-aligned mapping `(b, ℓ) ↦ (b', ℓ)`.
+/// Scope rules:
 ///
 /// * `PerPoint(b)` in epoch `E` may map pointwise to a constant, to a rigid
 ///   target null, or aligned onto a per-point target family of the same
@@ -126,97 +300,57 @@ fn tgt_val(v: &AValue) -> TgtVal {
 ///   labeled nulls, violating globality — the paper's Example 2).
 pub fn abstract_hom(from: &AbstractInstance, to: &AbstractInstance) -> bool {
     let zipped = from.zip_refined(to);
-    // Occurrence analysis for rigid source nulls.
-    let mut rigid_occurrences: FxHashMap<NullId, Vec<usize>> = FxHashMap::default();
-    for (ei, (_, s_from, _)) in zipped.iter().enumerate() {
-        let (_, rigids) = s_from.null_bases();
-        for b in rigids {
-            rigid_occurrences.entry(b).or_default().push(ei);
+    // The time points each rigid source null spans (`None`: unboundedly many).
+    let mut span: FxHashMap<NullId, Option<u64>> = FxHashMap::default();
+    for (iv, s_from, _) in &zipped {
+        for b in s_from.null_bases().1 {
+            let points = span.entry(b).or_insert(Some(0));
+            *points = points.zip(iv.len()).map(|(n, m)| n + m);
         }
     }
-    let rigid_single_point: FxHashMap<NullId, bool> = rigid_occurrences
-        .iter()
-        .map(|(b, eps)| {
-            let single = eps.len() == 1 && zipped[eps[0]].0.len() == Some(1);
-            (*b, single)
-        })
-        .collect();
 
-    // Work list: (epoch index, relation, source row), most-constrained first
-    // inside each epoch.
-    let mut work: Vec<(usize, RelId, &std::sync::Arc<[AValue]>)> = Vec::new();
-    for (ei, (_, s_from, _)) in zipped.iter().enumerate() {
-        let mut facts: Vec<(RelId, &std::sync::Arc<[AValue]>)> = s_from.iter_all().collect();
-        facts.sort_by_key(|(_, row)| row.iter().filter(|v| v.is_null()).count());
-        for (rel, row) in facts {
-            work.push((ei, rel, row));
+    // Refined epochs over one target epoch are adjacent, so consecutive
+    // equal snapshots share one search context.
+    let mut targets: Vec<&ASnapshot> = Vec::new();
+    let (mut ids, mut keys) = (FxHashMap::default(), Vec::new());
+    let mut goals = Vec::new();
+    for (ei, (_, s_from, s_to)) in zipped.iter().enumerate() {
+        if !targets.last().is_some_and(|t| std::ptr::eq(*t, *s_to)) {
+            targets.push(s_to);
         }
-    }
-    let targets: Vec<&ASnapshot> = zipped.iter().map(|(_, _, s_to)| *s_to).collect();
-    let mut assign: FxHashMap<SrcKey, TgtVal> = FxHashMap::default();
-    search_abstract(&work, 0, &targets, &rigid_single_point, &mut assign)
-}
-
-fn search_abstract(
-    work: &[(usize, RelId, &std::sync::Arc<[AValue]>)],
-    depth: usize,
-    targets: &[&ASnapshot],
-    rigid_single_point: &FxHashMap<NullId, bool>,
-    assign: &mut FxHashMap<SrcKey, TgtVal>,
-) -> bool {
-    let Some((ei, rel, row)) = work.get(depth) else {
-        return true;
-    };
-    let target = targets[*ei];
-    'candidates: for cand in target.rows(*rel) {
-        let mut newly: Vec<SrcKey> = Vec::new();
-        for (a, b) in row.iter().zip(cand.iter()) {
-            let w = tgt_val(b);
-            let ok = match a {
-                AValue::Const(c) => w == TgtVal::Const(*c),
-                AValue::PerPoint(n) => {
-                    let key = SrcKey::PerPoint(*n, *ei);
-                    match assign.get(&key) {
-                        Some(mapped) => *mapped == w,
-                        None => {
-                            assign.insert(key, w);
-                            newly.push(key);
-                            true
-                        }
-                    }
+        let ctx = targets.len() - 1;
+        for (rel, row) in s_from.iter_all() {
+            if !row.iter().any(AValue::is_null) {
+                if !s_to.contains(rel, row) {
+                    return false;
                 }
-                AValue::Rigid(n) => {
-                    let key = SrcKey::Rigid(*n);
-                    let scope_ok = match w {
-                        TgtVal::PerPoint(_) => rigid_single_point.get(n).copied().unwrap_or(false),
-                        _ => true,
-                    };
-                    scope_ok
-                        && match assign.get(&key) {
-                            Some(mapped) => *mapped == w,
-                            None => {
-                                assign.insert(key, w);
-                                newly.push(key);
-                                true
-                            }
-                        }
-                }
-            };
-            if !ok {
-                for k in newly {
-                    assign.remove(&k);
-                }
-                continue 'candidates;
+                continue;
             }
-        }
-        if search_abstract(work, depth + 1, targets, rigid_single_point, assign) {
-            return true;
-        }
-        for k in newly {
-            assign.remove(&k);
+            let terms = row
+                .iter()
+                .map(|v| match v {
+                    AValue::Const(_) => Term::Fixed(*v),
+                    AValue::PerPoint(n) => {
+                        Term::Var(var_id(&mut ids, &mut keys, SrcKey::PerPoint(*n, ei)))
+                    }
+                    AValue::Rigid(n) => Term::Var(var_id(&mut ids, &mut keys, SrcKey::Rigid(*n))),
+                })
+                .collect();
+            goals.push(Goal { ctx, rel, terms });
         }
     }
-    false
+    // Rigid nulls spanning several points never bind to a per-point family.
+    let pinned: Vec<bool> = keys
+        .iter()
+        .map(|k| matches!(k, SrcKey::Rigid(b) if span[b] != Some(1)))
+        .collect();
+    solve(
+        &goals,
+        keys.len(),
+        |ctx, rel| targets[ctx].rows(rel).iter().map(|r| &r[..]),
+        |x, v| !(pinned[x] && matches!(v, AValue::PerPoint(_))),
+    )
+    .is_some()
 }
 
 /// Homomorphic equivalence `a ∼ b` — the relation of Corollary 20.

@@ -14,9 +14,9 @@
 //! | §3 abstract chase, homomorphisms, universal solutions | [`chase::abstract_chase`], [`hom`] |
 //! | §4.1 interval-annotated nulls | `tdx_storage::NullId` + fact intervals |
 //! | §4.2 normalization (naïve + Algorithm 1) | [`normalize`] |
-//! | §4.3 the c-chase | [`chase::concrete`] |
+//! | §4.3 the c-chase | [`chase::concrete`] (options, results), run by [`chase::incremental`] and [`chase::cluster`](chase) |
 //! | §5 naïve evaluation, certain answers | [`query`] |
-//! | Prop. 4, Thm. 19, Cor. 20, Thm. 21, Cor. 22 | [`verify`], [`query::certain`] |
+//! | Prop. 4, Thm. 19, Cor. 20, Thm. 21, Cor. 22 | [`verify`] (the engines' oracle), [`query::certain`] |
 //!
 //! ## Engine architecture (beyond the paper)
 //!
@@ -24,9 +24,17 @@
 //! eager per-column value indexes, an eager exact-interval index, an
 //! interval-endpoint index (`tdx_temporal::IntervalIndex`, overlap probes
 //! and incremental endpoint enumeration), and a **generation log** exposing
-//! "facts added since round *k*". The Definition-16 pipeline runs
-//! literally over it as [`ChaseEngine::LegacyScan`], the reference the
-//! tests check every other engine against.
+//! "facts added since round *k*".
+//!
+//! The ground truth is the paper, not an engine: every engine is checked
+//! against the abstract chase of `⟦I_c⟧`
+//! ([`verify::check_against_abstract_chase`]) — results that are
+//! solutions (Theorem 19(1)) hom-equivalent to it (Corollary 20), failures
+//! on the same sources (Theorem 19(2)) and equal certain answers
+//! (Theorem 21). The abstract chase runs the classical
+//! snapshot chase per epoch and shares no kernel with the engines; the
+//! homomorphism search behind it ([`hom`]) splits the facts into blocks
+//! connected by shared nulls and searches each with an explicit stack.
 //!
 //! The default [`ChaseEngine::IndexedSemiNaive`] and
 //! [`ChaseEngine::PartitionedParallel`] chase the source as one batch of an
@@ -35,8 +43,8 @@
 //! runs as sweep-based overlap joins restricted to changed facts on scoped
 //! worker threads, and egd rounds are **semi-naive** — after the first
 //! round, egd bodies join only against the previous round's changes (see
-//! `docs/parallelism.md`). `tests/equivalence.rs` triangulates every
-//! engine against the reference, and `crates/bench` ablates them (see
+//! `docs/parallelism.md`). `tests/equivalence.rs` checks every engine
+//! against the abstract chase, and `crates/bench` measures them (see
 //! `BENCH_chase.json`; CI gates regressions via `bench_check`).
 //!
 //! [`ChaseEngine::Distributed`] relocates that match work onto
@@ -67,11 +75,12 @@
 //! | `tdx_storage::fact_store` | indexed fact storage + generation/delta log |
 //! | `tdx_storage::sharded` | timeline-partitioned shards, owner/delta/replica scopes |
 //! | `tdx_storage::matcher` | join engine: index candidates, per-atom delta bounds |
-//! | [`chase::concrete`] | engine dispatch; the Definition-16 reference c-chase |
+//! | [`chase::concrete`] | engine dispatch, options, results, shared step pieces |
 //! | [`chase::incremental`] | the session: one-batch chase for the local engines, delta batches |
 //! | [`chase::partitioned`](chase) | list kernels: sweep discovery, re-fragmentation, worker fan-out |
 //! | [`chase::cluster`](chase) | partition-server protocol, transports, coordinator kernel |
 //! | [`normalize`], [`query`] | overlap-index group discovery, engine-threaded eval |
+//! | [`chase::abstract_chase`], [`hom`], [`verify`] | the oracle: per-epoch snapshot chase, blocked hom search |
 //!
 //! ## Quick start
 //!
@@ -116,9 +125,7 @@ pub mod verify;
 pub use abstract_view::{
     arow, ARow, ASnapshot, AValue, AbstractInstance, AbstractInstanceBuilder, Epoch,
 };
-pub use chase::abstract_chase::{
-    abstract_chase, abstract_chase_parallel, abstract_chase_parallel_opts, abstract_chase_with,
-};
+pub use chase::abstract_chase::abstract_chase;
 pub use chase::cluster::{
     DistributedCluster, Message, Response, StoreKind, TrafficStats, Transport, TransportKind,
     TransportSpawner,
@@ -128,7 +135,7 @@ pub use chase::concrete::{
 };
 pub use chase::durable::DurableExchange;
 pub use chase::incremental::{BatchStats, DeltaBatch, IncrementalExchange, SessionStats};
-pub use chase::snapshot::{snapshot_chase, snapshot_chase_with};
+pub use chase::snapshot::snapshot_chase;
 pub use chase::{server_count, worker_threads};
 pub use error::{Result, TdxError};
 pub use exchange::DataExchange;
@@ -152,6 +159,6 @@ pub use query::naive::{eval_cq_raw, naive_eval_snapshot};
 pub use query::plan::{plan_union, query_fingerprint, UnionPlan};
 pub use semantics::{concretize, semantics};
 pub use verify::{
-    alignment_holds, is_solution_abstract, is_solution_concrete, is_universal_among, satisfies_egd,
-    satisfies_tgd,
+    alignment_holds, check_against_abstract_chase, is_solution_abstract, is_solution_concrete,
+    is_universal_among, satisfies_egd, satisfies_tgd,
 };

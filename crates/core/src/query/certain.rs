@@ -13,7 +13,7 @@ use crate::abstract_view::{AValue, AbstractInstance};
 use crate::chase::abstract_chase::abstract_chase;
 use crate::chase::concrete::{c_chase_with, ChaseOptions};
 use crate::error::Result;
-use crate::query::concrete::{naive_eval_concrete, naive_eval_concrete_with, TemporalAnswers};
+use crate::query::concrete::{naive_eval_concrete, TemporalAnswers};
 use crate::query::naive::naive_eval_snapshot;
 use crate::semantics::semantics;
 use std::collections::BTreeSet;
@@ -66,7 +66,7 @@ pub fn certain_answers_concrete(
     opts: &ChaseOptions,
 ) -> Result<TemporalAnswers> {
     let chased = c_chase_with(ic, mapping, opts)?;
-    naive_eval_concrete_with(&chased.target, q, opts.search_options())
+    naive_eval_concrete(&chased.target, q)
 }
 
 /// Certain answers via the abstract route: chase `⟦I_c⟧` snapshot-wise

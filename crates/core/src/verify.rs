@@ -1,11 +1,12 @@
 //! Verification utilities: dependency satisfaction, solution checking, and
-//! the Corollary 20 alignment between the concrete and abstract chases.
+//! the oracle every engine is checked against — the paper's abstract chase
+//! (Theorem 19(2) and Corollary 20).
 
 use crate::abstract_view::{AValue, AbstractInstance};
 use crate::chase::abstract_chase::abstract_chase;
 use crate::chase::concrete::{c_chase_with, ChaseOptions};
-use crate::error::Result;
-use crate::hom::hom_equivalent;
+use crate::error::{Result, TdxError};
+use crate::hom::abstract_hom;
 use crate::semantics::semantics;
 use tdx_logic::{Egd, SchemaMapping, Tgd};
 use tdx_storage::{Instance, NullId, TemporalInstance, Value};
@@ -100,18 +101,59 @@ pub fn is_solution_concrete(
     is_solution_abstract(&semantics(ic), &semantics(jc), mapping)
 }
 
-/// The Corollary 20 / Figure 10 check: the two paths around the square
+/// Checks what an engine returned for `ic` under `mapping` against the
+/// abstract chase of `⟦I_c⟧` (Section 3), the ground truth of the paper:
+/// both must fail on the same sources (Theorem 19(2)), and when both
+/// succeed, `⟦J_c⟧` must be a solution (Theorem 19(1)) with
+/// `⟦J_c⟧ ∼ chase(⟦I_c⟧)` (Corollary 20) — that is, a universal solution.
+/// Any error other than a chase failure is a disagreement. Returns what
+/// differs.
+pub fn check_against_abstract_chase(
+    ic: &TemporalInstance,
+    mapping: &SchemaMapping,
+    outcome: std::result::Result<&TemporalInstance, &TdxError>,
+) -> std::result::Result<(), String> {
+    let ia = semantics(ic);
+    let expected = abstract_chase(&ia, mapping);
+    match (outcome, &expected) {
+        (Ok(jc), Ok(ja)) => {
+            let jc = semantics(jc);
+            if !is_solution_abstract(&ia, &jc, mapping).map_err(|e| e.to_string())? {
+                Err("⟦J_c⟧ is not a solution for ⟦I_c⟧".into())
+            } else if !abstract_hom(&jc, ja) {
+                Err("⟦J_c⟧ does not map into chase(⟦I_c⟧)".into())
+            } else if !abstract_hom(ja, &jc) {
+                Err("chase(⟦I_c⟧) does not map into ⟦J_c⟧".into())
+            } else {
+                Ok(())
+            }
+        }
+        (Err(TdxError::ChaseFailure { .. }), Err(TdxError::ChaseFailure { .. })) => Ok(()),
+        (Ok(_), Err(a)) => Err(format!(
+            "the abstract chase failed ({a}), the engine did not"
+        )),
+        (Err(e), Ok(_)) => Err(format!(
+            "the engine failed ({e}), the abstract chase did not"
+        )),
+        (Err(e), Err(a)) => Err(format!("the engine failed ({e}), the abstract chase ({a})")),
+    }
+}
+
+/// The Corollary 20 / Figure 10 check, through
+/// [`check_against_abstract_chase`]: the two paths around the square
 /// commute up to homomorphic equivalence,
-/// `⟦c-chase(I_c)⟧ ∼ chase(⟦I_c⟧)`.
+/// `⟦c-chase(I_c)⟧ ∼ chase(⟦I_c⟧)`, or both fail (Theorem 19(2)). Errors
+/// other than a chase failure are returned.
 pub fn alignment_holds(
     ic: &TemporalInstance,
     mapping: &SchemaMapping,
     opts: &ChaseOptions,
 ) -> Result<bool> {
-    let jc = c_chase_with(ic, mapping, opts)?;
-    let via_concrete = semantics(&jc.target);
-    let via_abstract = abstract_chase(&semantics(ic), mapping)?;
-    Ok(hom_equivalent(&via_concrete, &via_abstract))
+    let jc = match c_chase_with(ic, mapping, opts) {
+        Err(e) if !matches!(e, TdxError::ChaseFailure { .. }) => return Err(e),
+        jc => jc,
+    };
+    Ok(check_against_abstract_chase(ic, mapping, jc.as_ref().map(|r| &r.target)).is_ok())
 }
 
 /// Whether `candidate` is *universal among* the given solutions: it is a
@@ -130,7 +172,7 @@ pub fn is_universal_among(
     }
     let cand_sem = semantics(candidate);
     for other in others {
-        if !crate::hom::abstract_hom(&cand_sem, &semantics(other)) {
+        if !abstract_hom(&cand_sem, &semantics(other)) {
             return Ok(false);
         }
     }
@@ -230,6 +272,40 @@ mod tests {
         // A non-solution is never universal.
         let empty = TemporalInstance::new(Arc::new(mapping.target().clone()));
         assert!(!is_universal_among(&ic, &empty, &[&jc], &mapping).unwrap());
+    }
+
+    #[test]
+    fn oracle_checks_equivalence_and_failure_agreement() {
+        let mapping = paper_mapping();
+        let ic = figure4(&mapping);
+        let jc = crate::chase::concrete::c_chase(&ic, &mapping)
+            .unwrap()
+            .target;
+        assert_eq!(check_against_abstract_chase(&ic, &mapping, Ok(&jc)), Ok(()));
+        // A lost fact and an invented fact are both caught.
+        let mut lost = TemporalInstance::new(jc.schema_arc());
+        for (rel, fact) in jc.iter_all().skip(1) {
+            lost.insert(rel, fact.data.clone(), fact.interval);
+        }
+        assert!(check_against_abstract_chase(&ic, &mapping, Ok(&lost)).is_err());
+        let mut invented = jc.clone();
+        invented.insert_strs("Emp", &["Cyd", "IBM", "9k"], iv(0, 5));
+        assert!(check_against_abstract_chase(&ic, &mapping, Ok(&invented)).is_err());
+        // Theorem 19(2): a failure is right exactly on a conflicting source.
+        let failure = TdxError::ChaseFailure {
+            dependency: "fd".into(),
+            left: "18k".into(),
+            right: "20k".into(),
+            interval: None,
+        };
+        assert!(check_against_abstract_chase(&ic, &mapping, Err(&failure)).is_err());
+        let mut conflicting = ic.clone();
+        conflicting.insert_strs("S", &["Ada", "20k"], iv(2013, 2014));
+        assert_eq!(
+            check_against_abstract_chase(&conflicting, &mapping, Err(&failure)),
+            Ok(())
+        );
+        assert!(check_against_abstract_chase(&conflicting, &mapping, Ok(&jc)).is_err());
     }
 
     #[test]

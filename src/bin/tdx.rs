@@ -23,7 +23,7 @@ use tdx::core::extension::cores::concrete_core;
 use tdx::core::normalize::naive_normalize;
 use tdx::core::normalize::normalize;
 use tdx::storage::display::render_temporal_relation;
-use tdx::{c_chase_with, parse_mapping, parse_union_query, semantics, ChaseOptions, DataExchange};
+use tdx::{parse_mapping, parse_union_query, semantics, ChaseOptions, DataExchange};
 
 struct Args {
     flags: Vec<(String, Option<String>)>,
@@ -70,16 +70,16 @@ impl Args {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: tdx <exchange|normalize|query|snapshots> --mapping FILE --data FILE [options]\n\
+        "usage: tdx <exchange|normalize|query|snapshots|check|incremental> --mapping FILE \
+         --data FILE [options]\n\
          \n\
          exchange   materialize a concrete solution (c-chase)\n\
          \x20          --coalesce  coalesce the result   --trace  print chase steps\n\
          \x20          --core      reduce to the pointwise core\n\
          \x20          --paper-faithful  single target normalization (§4.3 exactly)\n\
-         \x20          --engine indexed|scan|partitioned[:THREADS]|distributed[:SERVERS]\n\
+         \x20          --engine indexed|partitioned[:THREADS]|distributed[:SERVERS]\n\
          \x20                       indexed, partitioned: the session kernel, one batch\n\
          \x20                       (partitioned pins the worker threads)\n\
-         \x20                       scan: the Definition-16 reference, step by step\n\
          \x20          --servers N  partition servers for --engine distributed\n\
          \x20                       (0 or absent: TDX_CHASE_SERVERS, then 2)\n\
          \x20          --transport channel|tcp  partition-server transport\n\
@@ -97,8 +97,8 @@ fn usage() -> ExitCode {
          check      verify a candidate solution            --solution FILE (nulls as _x)\n\
          incremental  replay a delta stream through a stateful session\n\
          \x20          --data BASE --batch FILE [--batch FILE ...]\n\
-         \x20          --verify  cross-check each batch against a from-scratch\n\
-         \x20                    chase on the scan reference engine\n\
+         \x20          --verify  check each batch against the paper's abstract\n\
+         \x20                    chase of the accumulated source\n\
          \x20          --state-dir DIR  durable session: WAL + snapshots in DIR;\n\
          \x20                           rerunning recovers and skips committed batches"
     );
@@ -285,7 +285,6 @@ fn run() -> Result<ExitCode, Box<dyn std::error::Error>> {
         options.engine = match engine.split_once(':') {
             None => match engine {
                 "indexed" => tdx::core::ChaseEngine::IndexedSemiNaive,
-                "scan" => tdx::core::ChaseEngine::LegacyScan,
                 // Bare "partitioned": threads from TDX_CHASE_THREADS or
                 // the machine (see tdx_core::worker_threads).
                 "partitioned" => tdx::core::ChaseEngine::PartitionedParallel { threads: 0 },
@@ -391,7 +390,7 @@ fn run() -> Result<ExitCode, Box<dyn std::error::Error>> {
             }
         }
         "incremental" => {
-            use tdx::core::hom_equivalent;
+            use tdx::core::check_against_abstract_chase;
             use tdx::DeltaBatch;
             // A replay without a single --batch is a misuse, not a
             // degenerate success: the command exists to exercise the
@@ -476,28 +475,21 @@ fn run() -> Result<ExitCode, Box<dyn std::error::Error>> {
                     stats.target_facts,
                 );
                 if args.has("verify") {
-                    // The oracle is the Definition-16 reference with the
-                    // session's other options: `engine.exchange` runs the
-                    // session's own kernel and would agree by construction.
-                    let reference = ChaseOptions {
-                        engine: tdx::core::ChaseEngine::LegacyScan,
-                        ..engine.options().clone()
-                    };
-                    let scratch =
-                        c_chase_with(&session.inner().source(), engine.mapping(), &reference)?;
-                    if hom_equivalent(
-                        &semantics(&scratch.target),
-                        &semantics(&session.inner().target()),
-                    ) {
-                        eprintln!(
-                            "# {label}: verified hom-equivalent to a from-scratch reference chase"
-                        );
-                    } else {
-                        return Err(format!(
-                            "{label}: incremental target diverged from a from-scratch reference chase"
-                        )
-                        .into());
-                    }
+                    // The oracle is the paper's abstract chase, not an
+                    // engine: `engine.exchange` runs the session's own
+                    // kernel and would agree by construction.
+                    let inner = session.inner();
+                    let (source, target) = (inner.source(), inner.target());
+                    check_against_abstract_chase(&source, engine.mapping(), Ok(&target)).map_err(
+                        |e| {
+                            format!(
+                                "{label}: incremental target diverged from the abstract chase: {e}"
+                            )
+                        },
+                    )?;
+                    eprintln!(
+                        "# {label}: verified hom-equivalent to a from-scratch reference chase"
+                    );
                 }
                 Ok(())
             };

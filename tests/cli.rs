@@ -113,7 +113,7 @@ fn exchange_engines_agree_from_the_cli() {
     // byte-identical across server counts.
     let mut distributed_outputs = Vec::new();
     for engine in [
-        "scan",
+        "indexed",
         "partitioned:2",
         "distributed", // servers via TDX_CHASE_SERVERS / default
         "distributed:1",
@@ -243,6 +243,22 @@ fn missing_args_exit_with_usage() {
     assert_eq!(out.status.code(), Some(2));
     let out = tdx().args(paper_args("bogus-subcommand")).output().unwrap();
     assert_eq!(out.status.code(), Some(2));
+    // The usage header names every subcommand.
+    let usage = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        usage.contains("exchange|normalize|query|snapshots|check|incremental"),
+        "{usage}"
+    );
+}
+
+#[test]
+fn the_removed_scan_engine_is_an_unknown_engine() {
+    let mut args = paper_args("exchange");
+    args.extend(["--engine".into(), "scan".into()]);
+    let out = tdx().args(&args).output().unwrap();
+    assert!(!out.status.success(), "{out:?}");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(stderr.contains("unknown engine scan"), "{stderr}");
 }
 
 #[test]

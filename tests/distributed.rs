@@ -5,7 +5,7 @@
 //! workloads rich in unbounded intervals.
 
 use tdx::core::chase::cluster::snapshot_consistent;
-use tdx::core::{hom_equivalent, semantics, DistributedCluster, StoreKind, TransportKind};
+use tdx::core::{check_against_abstract_chase, DistributedCluster, StoreKind, TransportKind};
 use tdx::storage::{SearchOptions, TemporalFact};
 use tdx::temporal::{Breakpoints, TimelinePartition};
 use tdx::workload::{paper_mapping, EmploymentConfig, EmploymentWorkload};
@@ -88,7 +88,7 @@ fn unbounded_heavy_workload_is_deterministic_and_equivalent() {
     // The employment workload keeps open-ended (unbounded) employments and
     // salaries; under re-chasing at several cluster sizes the distributed
     // engine must stay byte-identical to itself and hom-equivalent to the
-    // sequential engine.
+    // abstract chase.
     let w = EmploymentWorkload::generate(&EmploymentConfig {
         persons: 30,
         horizon: 24,
@@ -105,12 +105,9 @@ fn unbounded_heavy_workload_is_deterministic_and_equivalent() {
         unbounded_sources > 0,
         "workload must exercise unbounded intervals"
     );
-    let seq = c_chase_with(&w.source, &w.mapping, &ChaseOptions::legacy_scan()).unwrap();
     let one = c_chase_with(&w.source, &w.mapping, &ChaseOptions::distributed(1)).unwrap();
-    assert!(hom_equivalent(
-        &semantics(&seq.target),
-        &semantics(&one.target)
-    ));
+    check_against_abstract_chase(&w.source, &w.mapping, Ok(&one.target))
+        .unwrap_or_else(|e| panic!("distributed/1 disagrees with the abstract chase: {e}"));
     for servers in [2usize, 4] {
         let many =
             c_chase_with(&w.source, &w.mapping, &ChaseOptions::distributed(servers)).unwrap();
@@ -169,9 +166,9 @@ fn incremental_batch_traffic_is_proportional_to_the_batch() {
             ..StreamConfig::default()
         },
     );
-    let session_opts = ChaseOptions::distributed(1);
     let mut session =
-        IncrementalExchange::with_options(stream.mapping.clone(), session_opts.clone()).unwrap();
+        IncrementalExchange::with_options(stream.mapping.clone(), ChaseOptions::distributed(1))
+            .unwrap();
     session
         .apply(&DeltaBatch::from_instance(&stream.base))
         .unwrap();
@@ -197,29 +194,11 @@ fn incremental_batch_traffic_is_proportional_to_the_batch() {
         base.apply_delta_bytes,
         base.apply_delta_facts,
     );
-    // The session still lands on the right answer: the Definition-16
-    // reference with the session's other options. The recursive
-    // homomorphism search needs more than a default 2 MiB test-thread
-    // stack at this instance size, so the check runs on its own thread.
-    let union = stream.union();
-    let mapping = stream.mapping.clone();
+    // The session still lands on the right answer: the abstract chase of
+    // the accumulated source.
     let incremental = session.target();
-    let reference = ChaseOptions {
-        engine: tdx::core::ChaseEngine::LegacyScan,
-        ..session_opts
-    };
-    std::thread::Builder::new()
-        .stack_size(64 << 20)
-        .spawn(move || {
-            let scratch = c_chase_with(&union, &mapping, &reference).unwrap();
-            assert!(hom_equivalent(
-                &semantics(&scratch.target),
-                &semantics(&incremental)
-            ));
-        })
-        .unwrap()
-        .join()
-        .unwrap();
+    check_against_abstract_chase(&stream.union(), &stream.mapping, Ok(&incremental))
+        .unwrap_or_else(|e| panic!("distributed session disagrees with the abstract chase: {e}"));
 }
 
 /// The fused v2 frames collapse a steady-state incremental batch to one

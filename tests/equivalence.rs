@@ -1,45 +1,41 @@
 //! Engine equivalence: every engine — the one-batch session behind
 //! `indexed` and `partitioned` (at 1, 2 and 4 workers) and the distributed
-//! partition-server chase — must produce the same solutions as the
-//! Definition-16 reference (`scan`, the legacy full-scan pipeline) on the
-//! whole scenario suite — same facts, nulls up to renaming, same certain
-//! answers — and must fail on exactly the same inputs.
+//! partition-server chase — must agree with the paper's abstract chase of
+//! `⟦I_c⟧` on the whole scenario suite: a hom-equivalent solution
+//! (Corollary 20) with the same certain answers (Theorem 21), or a failure
+//! on exactly the same inputs (Theorem 19(2)).
 
 use tdx::core::TransportKind;
-use tdx::core::{certain_answers_concrete, hom_equivalent, is_solution_concrete, semantics};
+use tdx::core::{
+    certain_answers_abstract, certain_answers_concrete, check_against_abstract_chase,
+    hom_equivalent, naive_eval_concrete, semantics,
+};
 use tdx::workload::{
     clustered_instance, figure4_source, nested_mapping, paper_mapping, ClusteredConfig,
     EmploymentConfig, EmploymentWorkload, RandomConfig, RandomWorkload,
 };
-use tdx::{
-    c_chase_with, parse_query, ChaseOptions, SchemaMapping, TdxError, TemporalInstance, UnionQuery,
-};
+use tdx::{c_chase_with, parse_query, ChaseOptions, SchemaMapping, TemporalInstance, UnionQuery};
 
 fn indexed() -> ChaseOptions {
     ChaseOptions::default()
 }
 
-fn scan() -> ChaseOptions {
-    ChaseOptions::legacy_scan()
-}
-
-/// Every engine configuration under triangulation, `scan` (the reference)
-/// included. The partitioned engine (the session kernel with a pinned
-/// worker count) runs at three worker counts — its task decomposition is
-/// thread-count independent, but the scopes and merges must stay correct
-/// under real concurrency too — plus once with `threads = 0`, which
-/// resolves through the `TDX_CHASE_THREADS` environment variable: that is
-/// the configuration CI's thread matrix actually varies. The distributed partition-server
-/// engine joins the same way: explicit 1- and 3-server clusters plus
-/// `servers = 0`, which resolves through `TDX_CHASE_SERVERS` — the knob
-/// CI's server matrix varies — and whose transport resolves through
-/// `TDX_CHASE_TRANSPORT`, the knob CI's transport matrix varies. One
-/// explicit TCP configuration keeps the out-of-process carrier in every
-/// triangulation even when the environment selects channels.
+/// Every engine configuration under test. The partitioned engine (the
+/// session kernel with a pinned worker count) runs at three worker counts —
+/// its task decomposition is thread-count independent, but the scopes and
+/// merges must stay correct under real concurrency too — plus once with
+/// `threads = 0`, which resolves through the `TDX_CHASE_THREADS`
+/// environment variable: that is the configuration CI's thread matrix
+/// actually varies. The distributed partition-server engine joins the same
+/// way: explicit 1- and 3-server clusters plus `servers = 0`, which
+/// resolves through `TDX_CHASE_SERVERS` — the knob CI's server matrix
+/// varies — and whose transport resolves through `TDX_CHASE_TRANSPORT`,
+/// the knob CI's transport matrix varies. One explicit TCP configuration
+/// keeps the out-of-process carrier in every run even when the environment
+/// selects channels.
 fn all_engines() -> Vec<(&'static str, ChaseOptions)> {
     vec![
         ("indexed", indexed()),
-        ("scan", scan()),
         ("partitioned/1", ChaseOptions::partitioned_parallel(1)),
         ("partitioned/2", ChaseOptions::partitioned_parallel(2)),
         ("partitioned/4", ChaseOptions::partitioned_parallel(4)),
@@ -54,62 +50,57 @@ fn all_engines() -> Vec<(&'static str, ChaseOptions)> {
     ]
 }
 
-/// Runs every engine and checks that all solutions represent the same
-/// abstract instance as the `scan` reference up to null renaming and all
-/// verify as solutions — or that every engine fails. Null counts are not
-/// compared: the engines merge their matches in different orders, and the
-/// *restricted* chase may then pre-empt a different subset of redundant
-/// steps — the universal solution is the same up to homomorphic
-/// equivalence, with possibly fewer leftover nulls. (That the index and
-/// scan matchers enumerate the same matches is checked directly, below the
-/// engines, by `crates/storage/tests/matcher_reference.rs`.)
-fn assert_engines_agree(label: &str, mapping: &SchemaMapping, source: &TemporalInstance) {
-    let reference = c_chase_with(source, mapping, &scan());
-    for (name, opts) in all_engines().iter().filter(|(name, _)| *name != "scan") {
-        let result = c_chase_with(source, mapping, opts);
-        match (&reference, &result) {
-            (Ok(a), Ok(b)) => {
-                assert!(
-                    hom_equivalent(&semantics(&a.target), &semantics(&b.target)),
-                    "{label}: {name} solution differs from scan"
-                );
-                assert!(
-                    is_solution_concrete(source, &b.target, mapping).unwrap(),
-                    "{label}: {name} result is not a solution"
-                );
+/// Runs every engine and checks it against the abstract chase: both fail,
+/// or the engine's result is a solution that represents the same abstract
+/// instance up to homomorphic equivalence. Null counts are not
+/// compared: the *restricted* chase may pre-empt a different subset of
+/// redundant steps, leaving possibly fewer nulls in the same universal
+/// solution. A solution byte-identical to one already checked gets the
+/// same verdict, so it is not checked twice. Returns each engine's
+/// solution.
+fn assert_engines_agree(
+    label: &str,
+    mapping: &SchemaMapping,
+    source: &TemporalInstance,
+) -> Vec<(&'static str, TemporalInstance)> {
+    let mut solutions: Vec<(&str, TemporalInstance)> = Vec::new();
+    for (name, opts) in all_engines() {
+        let result = c_chase_with(source, mapping, &opts);
+        if let Ok(r) = &result {
+            if solutions.iter().any(|(_, seen)| *seen == r.target) {
+                solutions.push((name, r.target.clone()));
+                continue;
             }
-            (Err(TdxError::ChaseFailure { .. }), Err(TdxError::ChaseFailure { .. })) => {}
-            (a, b) => panic!(
-                "{label}: engines disagree: scan {:?}, {name} {:?}",
-                a.as_ref().map(|r| r.target.total_len()),
-                b.as_ref().map(|r| r.target.total_len())
-            ),
+        }
+        if let Err(e) =
+            check_against_abstract_chase(source, mapping, result.as_ref().map(|r| &r.target))
+        {
+            panic!("{label}: {name} disagrees with the abstract chase: {e}");
+        }
+        if let Ok(r) = result {
+            solutions.push((name, r.target));
         }
     }
-    if let Ok(a) = &reference {
-        assert!(
-            is_solution_concrete(source, &a.target, mapping).unwrap(),
-            "{label}: scan result is not a solution"
-        );
-    }
+    solutions
 }
 
-/// Certain answers must be byte-identical across engines (they contain no
-/// nulls, so no renaming slack is allowed).
+/// Certain answers, naïvely evaluated on every engine's solution
+/// (Corollary 22), must equal the abstract route's (Theorem 21; they
+/// contain no nulls, so no renaming slack is allowed).
 fn assert_same_certain_answers(
     label: &str,
     mapping: &SchemaMapping,
     source: &TemporalInstance,
+    solutions: &[(&str, TemporalInstance)],
     queries: &[&str],
 ) {
     for q_text in queries {
         let q: UnionQuery = parse_query(q_text).unwrap().into();
-        let reference = certain_answers_concrete(source, mapping, &q, &scan()).unwrap();
-        for (name, opts) in all_engines().iter().filter(|(name, _)| *name != "scan") {
-            let ans = certain_answers_concrete(source, mapping, &q, opts).unwrap();
+        let reference = certain_answers_abstract(source, mapping, &q).unwrap();
+        for (name, target) in solutions {
             assert_eq!(
-                reference.epochs(),
-                ans.epochs(),
+                reference,
+                naive_eval_concrete(target, &q).unwrap().epochs(),
                 "{label}: certain answers differ for {q_text} on {name}"
             );
         }
@@ -120,11 +111,12 @@ fn assert_same_certain_answers(
 fn paper_example_agrees() {
     let mapping = paper_mapping();
     let source = figure4_source(&mapping);
-    assert_engines_agree("figure4", &mapping, &source);
+    let solutions = assert_engines_agree("figure4", &mapping, &source);
     assert_same_certain_answers(
         "figure4",
         &mapping,
         &source,
+        &solutions,
         &[
             "Q(n, s) :- Emp(n, c, s)",
             "Q(n) :- Emp(n, c, s)",
@@ -135,9 +127,6 @@ fn paper_example_agrees() {
 
 #[test]
 fn employment_workloads_agree() {
-    // The last shape is the `batch` benchmark's source (70% salary
-    // coverage) at 100 persons, checked here against the reference: the
-    // benchmark's own output check compares a session with a session.
     for (persons, coverage, seed) in [
         (10usize, 1.0, 1u64),
         (25, 0.6, 2),
@@ -152,23 +141,35 @@ fn employment_workloads_agree() {
             ..EmploymentConfig::default()
         });
         let label = format!("employment/p{persons}s{seed}");
-        // The recursive homomorphism search needs more than a default
-        // 2 MiB test-thread stack at 100 persons, so the checks run on
-        // their own thread.
-        std::thread::Builder::new()
-            .stack_size(64 << 20)
-            .spawn(move || {
-                assert_engines_agree(&label, &w.mapping, &w.source);
-                assert_same_certain_answers(
-                    &label,
-                    &w.mapping,
-                    &w.source,
-                    &["Q(n, s) :- Emp(n, c, s)", "Q(n, c) :- Emp(n, c, s)"],
-                );
-            })
-            .unwrap()
-            .join()
-            .unwrap();
+        let solutions = assert_engines_agree(&label, &w.mapping, &w.source);
+        assert_same_certain_answers(
+            &label,
+            &w.mapping,
+            &w.source,
+            &solutions,
+            &["Q(n, s) :- Emp(n, c, s)", "Q(n, c) :- Emp(n, c, s)"],
+        );
+    }
+}
+
+/// The `batch` benchmark's source at full size (620 persons, 12 companies,
+/// horizon 60, 70% salary coverage): the default engine against the
+/// abstract chase, on the test thread's default stack.
+#[test]
+fn batch_benchmark_source_agrees_on_the_default_stack() {
+    let w = EmploymentWorkload::generate(&EmploymentConfig {
+        persons: 620,
+        companies: 12,
+        horizon: 60,
+        salary_coverage: 0.7,
+        seed: 1,
+        ..EmploymentConfig::default()
+    });
+    let result = c_chase_with(&w.source, &w.mapping, &indexed());
+    if let Err(e) =
+        check_against_abstract_chase(&w.source, &w.mapping, result.as_ref().map(|r| &r.target))
+    {
+        panic!("batch/620: the default engine disagrees with the abstract chase: {e}");
     }
 }
 
@@ -499,10 +500,9 @@ fn distributed_incremental_session_agrees_with_every_engine() {
     }
     let union = stream.union();
     let incremental = session.target();
-    assert!(
-        is_solution_concrete(&union, &incremental, &stream.mapping).unwrap(),
-        "distributed incremental result is not a solution"
-    );
+    check_against_abstract_chase(&union, &stream.mapping, Ok(&incremental)).unwrap_or_else(|e| {
+        panic!("distributed incremental session disagrees with the abstract chase: {e}")
+    });
     for (name, opts) in all_engines() {
         let scratch = c_chase_with(&union, &stream.mapping, &opts).unwrap();
         assert!(
@@ -548,10 +548,8 @@ fn incremental_session_agrees_with_every_engine() {
     }
     let union = stream.union();
     let incremental = session.target();
-    assert!(
-        is_solution_concrete(&union, &incremental, &stream.mapping).unwrap(),
-        "incremental result is not a solution"
-    );
+    check_against_abstract_chase(&union, &stream.mapping, Ok(&incremental))
+        .unwrap_or_else(|e| panic!("incremental session disagrees with the abstract chase: {e}"));
     for (name, opts) in all_engines() {
         let scratch = c_chase_with(&union, &stream.mapping, &opts).unwrap();
         assert!(
@@ -568,10 +566,8 @@ fn semi_naive_deltas_change_nothing_across_chase_options() {
     let mapping = paper_mapping();
     let source = figure4_source(&mapping);
     let q: UnionQuery = parse_query("Q(n, s) :- Emp(n, c, s)").unwrap().into();
-    let reference = certain_answers_concrete(&source, &mapping, &q, &scan())
-        .unwrap()
-        .epochs();
-    for engine_opts in [indexed(), scan(), ChaseOptions::partitioned_parallel(2)] {
+    let reference = certain_answers_abstract(&source, &mapping, &q).unwrap();
+    for engine_opts in [indexed(), ChaseOptions::partitioned_parallel(2)] {
         for (renorm, naive) in [(true, false), (false, false), (true, true)] {
             let opts = ChaseOptions {
                 renormalize_between_egd_rounds: renorm,

@@ -78,8 +78,9 @@ fn default_options_find_the_failure() {
 
 /// The paper-faithful single normalization misses it: the chase "succeeds",
 /// but its output violates `e1` on `[3,5)` — it is *not* a solution. This
-/// is exactly why re-normalization is the default (documented in
-/// `DESIGN.md`); the knob exists to study the paper's literal pipeline.
+/// is exactly why re-normalization is the default (documented on
+/// `ChaseOptions::renormalize_between_egd_rounds`); the knob exists to
+/// study the paper's literal pipeline.
 #[test]
 fn paper_faithful_mode_misses_the_late_violation() {
     let (mapping, ic) = setting();
@@ -89,7 +90,7 @@ fn paper_faithful_mode_misses_the_late_violation() {
     assert!(
         !tdx::core::verify::is_solution_concrete(&ic, &result.target, &mapping).unwrap(),
         "if this starts passing, the paper-faithful pipeline became complete \
-         and DESIGN.md should be updated"
+         and ChaseOptions::renormalize_between_egd_rounds should say so"
     );
 }
 

@@ -1,5 +1,6 @@
-//! A second reproduction finding (see `DESIGN.md` §7): shared existentials
-//! need *base alignment* under fragmentation.
+//! A second reproduction finding (see `base_align_cuts` in
+//! `crates/core/src/chase/partitioned.rs`): shared existentials need *base
+//! alignment* under fragmentation.
 //!
 //! Definition 16 places one fresh annotated null `w^[s,e)` into every head
 //! fact of a tgd step. If a later normalization fragments one of those
