@@ -25,7 +25,11 @@
 //! Rows whose baseline runs under ~0.5 ms are *reported but not gated* —
 //! at that scale run-to-run scheduler drift on shared runners routinely
 //! exceeds the 25% threshold, so gating them would only produce flakes.
-//! The exit code is non-zero on regression, failing the workflow.
+//! The exit code is non-zero on regression, failing the workflow. A
+//! failing run also reports how many gated rows ran below 0.8× their
+//! baseline after calibration, naming the largest movers: a speed-up
+//! across many rows pulls the calibration factor down, and untouched rows
+//! then read as regressions.
 //!
 //! On single-core machines the `partitioned_parallel/4` rows are skipped by
 //! the suite itself (they would measure pure thread overhead); baseline
@@ -404,6 +408,29 @@ fn main() {
         }
         for msg in scaling_failed.iter().chain(&query_failed) {
             eprintln!("bench_check: FAILED — {msg}");
+        }
+        // When many rows speed up at once, they pull the calibration
+        // factor down, and untouched rows then read as regressions. Name
+        // the fast movers, so that case is told apart from a regression.
+        let mut fast: Vec<(&str, f64)> = ratios
+            .iter()
+            .map(|(id, r)| (id.as_str(), r / calibration))
+            .filter(|(_, relative)| *relative < 0.8)
+            .collect();
+        fast.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite ratios"));
+        eprintln!(
+            "bench_check: {} of {} gated rows ran below 0.80x their baseline median after \
+             calibration{}",
+            fast.len(),
+            ratios.len(),
+            if fast.is_empty() {
+                ""
+            } else {
+                "; the largest movers:"
+            }
+        );
+        for (id, relative) in fast.iter().take(5) {
+            eprintln!("  {id:60} {relative:6.3}x");
         }
         std::process::exit(1);
     }

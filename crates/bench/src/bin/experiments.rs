@@ -311,6 +311,11 @@ fn exp_f9() -> bool {
         "result is a concrete solution",
         is_solution_concrete(&ic, jc, &mapping).unwrap(),
     );
+    // The existential-free σ2 fires first, so σ1 fires only where no
+    // salary witnesses it and the egd has nothing left to merge.
+    ok &= check("5 tgd steps (3 σ2 + 2 σ1)", result.stats.tgd_steps == 5);
+    ok &= check("0 egd rounds", result.stats.egd_rounds == 0);
+    ok &= check("2 nulls created", result.stats.nulls_created == 2);
     ok
 }
 
@@ -694,7 +699,11 @@ fn exp_core() -> bool {
         "§7 extension: pointwise cores prune subsumed witnesses",
     );
     use tdx_core::extension::cores::concrete_core;
+    use tdx_core::{DeltaBatch, IncrementalExchange};
     // Without the egd the ∃-witness survives next to the constant fact.
+    // In one batch st2 fires first and witnesses st1 where the salary is
+    // known, so the salary arrives a batch after the job: st1 has already
+    // fired over the whole tenure when st2 places the constant fact.
     let mapping = tdx_logic::parse_mapping(
         "source { E(name, company)  S(name, salary) }
          target { Emp(name, company, salary) }
@@ -702,10 +711,16 @@ fn exp_core() -> bool {
          tgd st2: E(n,c) & S(n,s) -> Emp(n,c,s)",
     )
     .unwrap();
-    let mut ic = TemporalInstance::new(Arc::new(mapping.source().clone()));
-    ic.insert_strs("E", &["Ada", "IBM"], iv(0, 10));
-    ic.insert_strs("S", &["Ada", "18k"], iv(4, 10));
-    let jc = c_chase(&ic, &mapping).unwrap().target;
+    let mut session = IncrementalExchange::new(mapping.clone()).unwrap();
+    for (rel, vals, interval) in [
+        ("E", ["Ada", "IBM"], iv(0, 10)),
+        ("S", ["Ada", "18k"], iv(4, 10)),
+    ] {
+        let mut batch = TemporalInstance::new(Arc::new(mapping.source().clone()));
+        batch.insert_strs(rel, &vals, interval);
+        session.apply(&DeltaBatch::from_instance(&batch)).unwrap();
+    }
+    let jc = session.target();
     let core = concrete_core(&jc);
     println!("chase result (no egd — redundant witness):");
     print_instance(&jc);

@@ -526,12 +526,23 @@ pub mod incremental_suite {
     use std::sync::Arc;
     use tdx_core::{c_chase_with, ChaseOptions, DeltaBatch, IncrementalExchange};
     use tdx_workload::{
-        employment_stream, nested_stream, sparse_stream, BatchOrder, ClusteredConfig, DeltaStream,
-        EmploymentConfig, StreamConfig,
+        employment_stream, late_salary_stream, nested_stream, sparse_stream, BatchOrder,
+        ClusteredConfig, DeltaStream, EmploymentConfig, StreamConfig,
     };
 
     /// The group prefix every case id lives under.
     pub const GROUP: &str = "c_chase/incremental";
+
+    /// The `late_salaries` row's stream: employment/100, salaries a batch
+    /// after the jobs.
+    fn late_salaries() -> DeltaStream {
+        late_salary_stream(&EmploymentConfig {
+            persons: 100,
+            horizon: 30,
+            seed: 42,
+            ..EmploymentConfig::default()
+        })
+    }
 
     /// Seeds a session with the stream's base instance, returning it with
     /// the first update batch.
@@ -553,7 +564,10 @@ pub mod incremental_suite {
     ///   clone share of the batch rows visible;
     /// * `employment/from_scratch/100` — the partitioned engine (one batch
     ///   on a fresh session) re-chasing the same accumulated source from
-    ///   scratch: the latency an incremental batch replaces.
+    ///   scratch: the latency an incremental batch replaces;
+    /// * `employment/late_salaries/100` — clone a session seeded with the
+    ///   jobs of a [`late_salary_stream`] and absorb its salary batch: the
+    ///   row that keeps the egd layer measured.
     pub fn cases() -> Vec<Case> {
         let mut out: Vec<Case> = Vec::new();
         for persons in [50usize, 100] {
@@ -603,6 +617,17 @@ pub mod incremental_suite {
                 });
             }
         }
+        {
+            let (session, batch) = seed(&late_salaries());
+            let (session, batch) = (Arc::new(session), Arc::new(batch));
+            out.push(Case {
+                id: "employment/late_salaries/100".to_string(),
+                run: Box::new(move || {
+                    let mut s = (*session).clone();
+                    s.apply(&batch).unwrap();
+                }),
+            });
+        }
         for (family, stream) in [
             (
                 "nested",
@@ -642,6 +667,24 @@ pub mod incremental_suite {
             });
         }
         out
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use tdx_core::check_against_abstract_chase;
+
+        #[test]
+        fn late_salaries_batch_merges_nulls() {
+            let (mut session, batch) = super::seed(&super::late_salaries());
+            let stats = session.apply(&batch).unwrap();
+            assert!(stats.egd_merges >= 1, "{stats:?}");
+            check_against_abstract_chase(
+                &session.source(),
+                session.mapping(),
+                Ok(&session.target()),
+            )
+            .unwrap();
+        }
     }
 }
 

@@ -4,8 +4,9 @@
 //! Two things live here:
 //!
 //! 1. **The coordinator kernel** — the restricted-chase check machinery
-//!    ([`Check`], [`classify_check`], [`TgdFolder`]) and the union-find
-//!    merge fold ([`fold_merge_ops`]). [`ChaseEngine::Distributed`] and the
+//!    ([`Check`], [`classify_check`], [`fire_order`], [`TgdFolder`]) and
+//!    the union-find merge fold ([`fold_merge_ops`]).
+//!    [`ChaseEngine::Distributed`] and the
 //!    [`IncrementalExchange`](crate::chase::incremental::IncrementalExchange)
 //!    session (which also runs the local engines) fold their enumerated
 //!    matches through these same routines; only *where the enumeration
@@ -155,6 +156,24 @@ pub(crate) fn classify_check(head: &[Atom], existentials: &[Var], tgt: &Schema) 
         }
     }
     Ok(Check::Probe)
+}
+
+/// The order a tgd round fires its tgds in: existential-free
+/// ([`Check::Direct`]) tgds first, then the rest, each group in
+/// declaration order. A `Direct` tgd inserts the same facts whenever it
+/// fires, so running those first only adds witnesses for the later
+/// restricted checks: the schedule never fires more steps or mints more
+/// nulls than declaration order does. Any order is a valid restricted
+/// chase, so Corollary 20 and Theorem 19(2) hold either way; the
+/// indices stay declaration-order positions, so plans, memos and wire
+/// rows keep their layout. Shared by the session and the distributed
+/// batch engine, so every engine fires one schedule.
+pub(crate) fn fire_order<'a>(checks: impl IntoIterator<Item = &'a Check>) -> Vec<usize> {
+    let checks: Vec<&Check> = checks.into_iter().collect();
+    let mut order: Vec<usize> = (0..checks.len()).collect();
+    // A stable sort: `false` (Direct) before `true`, ties in index order.
+    order.sort_by_key(|&i| !matches!(checks[i], Check::Direct));
+    order
 }
 
 /// Registers an inserted target fact with every memo watching its relation.
@@ -1656,7 +1675,7 @@ pub fn c_chase_distributed_with(
     let src_sweep = (!opts.naive_normalization)
         .then(|| sweep_specs(&src_schema, &tgd_bodies))
         .flatten();
-    let homs_per_tgd = match &src_sweep {
+    let mut homs_per_tgd = match &src_sweep {
         Some(specs) => {
             let discover = !specs.is_empty();
             let mut fresh: Vec<Vec<bool>> = src_delta.iter().map(|d| vec![true; d.len()]).collect();
@@ -1708,7 +1727,8 @@ pub fn c_chase_distributed_with(
     );
     let mut target = TemporalInstance::new(Arc::new(mapping.target().clone()));
     let mut folder = TgdFolder::new(mapping)?;
-    for (ti, homs) in homs_per_tgd.into_iter().enumerate() {
+    for ti in fire_order(folder.checks.iter().map(|(c, _)| c)) {
+        let homs = std::mem::take(&mut homs_per_tgd[ti]);
         stats.tgd_steps += folder.fold(ti, homs, &mut target, sopts)?;
     }
     stats.nulls_created = folder.nulls.peek();
@@ -1910,6 +1930,18 @@ mod tests {
         i
     }
 
+    #[test]
+    fn fire_order_puts_direct_tgds_first_and_keeps_declaration_order() {
+        let memo = || Check::Memo {
+            rel: RelId(0),
+            cols: vec![0],
+        };
+        let checks = [memo(), Check::Direct, Check::Probe, Check::Direct, memo()];
+        assert_eq!(fire_order(&checks), vec![1, 3, 0, 2, 4]);
+        assert_eq!(fire_order(&[Check::Probe, memo()]), vec![0, 1]);
+        assert!(fire_order(&[]).is_empty());
+    }
+
     /// Figure 9: five target facts, two of them with a null.
     #[test]
     fn matches_the_sequential_engine_across_server_counts() {
@@ -1926,7 +1958,10 @@ mod tests {
                 .iter_all()
                 .filter(|(_, f)| f.data.iter().any(Value::is_null));
             assert_eq!(null_facts.count(), 2);
-            assert_eq!(dist.stats.tgd_steps, 8);
+            // 3 σ2 steps, then σ1 only where no salary witnesses it.
+            assert_eq!(dist.stats.tgd_steps, 5);
+            assert_eq!(dist.stats.nulls_created, 2);
+            assert_eq!(dist.stats.egd_rounds, 0);
         }
     }
 

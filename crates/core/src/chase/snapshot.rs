@@ -28,6 +28,11 @@ fn instantiate(atom: &Atom, env: &[(Var, Value)]) -> Vec<Value> {
 
 /// Applies every applicable s-t tgd step (restricted chase). The source is
 /// never modified; returns the number of steps fired.
+///
+/// The tgds fire in declaration order, not in the engines' fire order
+/// (existential-free first): this phase is the oracle the engines are
+/// checked against, so it shares no schedule with their kernel. Any
+/// order gives a hom-equivalent result (Corollary 20).
 pub fn st_tgd_phase(
     source: &Instance,
     target: &mut Instance,

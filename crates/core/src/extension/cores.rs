@@ -97,6 +97,8 @@ pub fn concrete_core(jc: &TemporalInstance) -> TemporalInstance {
 mod tests {
     use super::*;
     use crate::chase::concrete::c_chase;
+    use crate::chase::incremental::tests::batch;
+    use crate::chase::incremental::IncrementalExchange;
     use crate::hom::hom_equivalent;
     use crate::query::certain::theorem21_holds;
     use tdx_logic::{
@@ -169,10 +171,12 @@ mod tests {
         assert!(core.total_len() < db.total_len());
     }
 
-    /// A mapping whose chase leaves redundant witnesses: without the egd,
-    /// the ∃-tgd's null survives next to the constant fact.
-    fn mapping_without_egd() -> SchemaMapping {
-        SchemaMapping::new(
+    /// A chase result with a redundant witness: without the egd, the
+    /// ∃-tgd's null survives next to the constant fact. In one batch the
+    /// existential-free tgd fires first and witnesses the ∃-tgd wherever
+    /// the salary is known, so the salary arrives a batch after the job.
+    fn chase_with_redundant_witness() -> TemporalInstance {
+        let mapping = SchemaMapping::new(
             parse_schema("E(name, company). S(name, salary).").unwrap(),
             parse_schema("Emp(name, company, salary).").unwrap(),
             vec![
@@ -181,18 +185,22 @@ mod tests {
             ],
             vec![],
         )
-        .unwrap()
+        .unwrap();
+        let mut session = IncrementalExchange::new(mapping.clone()).unwrap();
+        for fact in [
+            ("E", &["Ada", "IBM"][..], iv(0, 10)),
+            ("S", &["Ada", "18k"][..], iv(4, 10)),
+        ] {
+            session.apply(&batch(&mapping, &[fact])).unwrap();
+        }
+        session.target()
     }
 
     #[test]
     fn concrete_core_prunes_subsumed_witnesses() {
-        let mapping = mapping_without_egd();
-        let mut ic = TemporalInstance::new(Arc::new(mapping.source().clone()));
-        ic.insert_strs("E", &["Ada", "IBM"], iv(0, 10));
-        ic.insert_strs("S", &["Ada", "18k"], iv(4, 10));
-        let jc = c_chase(&ic, &mapping).unwrap().target;
-        // The chase keeps Emp(Ada, IBM, N) on [0,10)-fragments and
-        // Emp(Ada, IBM, 18k) on [4,10): on [4,10) the null fact is
+        let jc = chase_with_redundant_witness();
+        // The chase keeps a null fact Emp(Ada, IBM, N) over [0,10) next
+        // to Emp(Ada, IBM, 18k) on [4,10): there the null fact is
         // redundant.
         let core = concrete_core(&jc);
         let sem = semantics(&core);
@@ -235,11 +243,7 @@ mod tests {
 
     #[test]
     fn certain_answers_survive_core() {
-        let mapping = mapping_without_egd();
-        let mut ic = TemporalInstance::new(Arc::new(mapping.source().clone()));
-        ic.insert_strs("E", &["Ada", "IBM"], iv(0, 10));
-        ic.insert_strs("S", &["Ada", "18k"], iv(4, 10));
-        let jc = c_chase(&ic, &mapping).unwrap().target;
+        let jc = chase_with_redundant_witness();
         let core = concrete_core(&jc);
         let q: tdx_logic::UnionQuery = parse_query("Q(n, s) :- Emp(n, c, s)").unwrap().into();
         let full = crate::query::concrete::naive_eval_concrete(&jc, &q).unwrap();

@@ -30,6 +30,6 @@ pub use employment::{figure4_source, paper_mapping, EmploymentConfig, Employment
 pub use random::{RandomConfig, RandomWorkload};
 pub use sparse::{clustered_instance, ClusteredConfig};
 pub use stream::{
-    employment_stream, nested_stream, random_stream, sparse_stream, split_stream, BatchOrder,
-    DeltaStream, StreamConfig,
+    employment_stream, late_salary_stream, nested_stream, random_stream, sparse_stream,
+    split_stream, BatchOrder, DeltaStream, StreamConfig,
 };

@@ -138,6 +138,35 @@ pub fn employment_stream(w: &EmploymentConfig, cfg: &StreamConfig) -> DeltaStrea
     split_stream(full.mapping, &full.source, cfg)
 }
 
+/// An employment stream whose salaries arrive a batch after the jobs: the
+/// base holds every `E` fact and the one batch every `S` fact. The base
+/// has no salary to witness st1, so it mints a null per job fragment; the
+/// batch fires st2 and the egd merges those nulls into its constants.
+pub fn late_salary_stream(w: &EmploymentConfig) -> DeltaStream {
+    let full = EmploymentWorkload::generate(w);
+    let salary = full
+        .mapping
+        .source()
+        .rel_id("S".into())
+        .expect("employment source has S");
+    let schema = full.source.schema_arc();
+    let mut base = TemporalInstance::new(Arc::clone(&schema));
+    let mut salaries = TemporalInstance::new(schema);
+    for (rel, fact) in full.source.iter_all() {
+        let part = if rel == salary {
+            &mut salaries
+        } else {
+            &mut base
+        };
+        part.insert(rel, Arc::clone(&fact.data), fact.interval);
+    }
+    DeltaStream {
+        mapping: full.mapping,
+        base,
+        batches: vec![salaries],
+    }
+}
+
 /// A nested-interval (adversarial normalization) delta stream.
 pub fn nested_stream(n: usize, cfg: &StreamConfig) -> DeltaStream {
     let (mapping, source) = nested_mapping(n);

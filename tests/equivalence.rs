@@ -236,24 +236,24 @@ fn normalize_kernel_agrees_with_the_matcher_reference() {
     }
 
     // The benchmark's shape: employment with salary gaps, tgd bodies.
-    let employment = |persons| {
-        EmploymentWorkload::generate(&EmploymentConfig {
-            persons,
-            companies: 12,
-            horizon: 60,
-            salary_coverage: 0.7,
-            seed: 15,
-            ..EmploymentConfig::default()
-        })
+    let config = |persons| EmploymentConfig {
+        persons,
+        companies: 12,
+        horizon: 60,
+        salary_coverage: 0.7,
+        seed: 15,
+        ..EmploymentConfig::default()
     };
+    let employment = |persons| EmploymentWorkload::generate(&config(persons));
     let w = employment(100);
     let out = agree("employment/tgd", &w.source, &w.mapping.tgd_bodies());
     assert!(out.total_len() > w.source.total_len());
 
     // A chased target with nulls under the egd's self-join body, whose
     // images include diagonal ones (both atoms on one fact). Chasing
-    // without the egd and coalescing leaves each job's null overlapping
-    // the salary facts of the same (person, company).
+    // without the egd, the jobs a batch before the salaries, and
+    // coalescing leaves each job's null overlapping the salary facts of
+    // the same (person, company).
     let tgds_only = tdx::parse_mapping(
         "source { E(name, company)  S(name, salary) }\n\
          target { Emp(name, company, salary) }\n\
@@ -261,10 +261,14 @@ fn normalize_kernel_agrees_with_the_matcher_reference() {
          tgd st2: E(n,c) & S(n,s) -> Emp(n,c,s)\n",
     )
     .unwrap();
-    let target = c_chase_with(&w.source, &tgds_only, &indexed())
-        .unwrap()
-        .target
-        .coalesced();
+    let late = tdx::workload::late_salary_stream(&config(100));
+    let mut session = tdx::IncrementalExchange::new(tgds_only).unwrap();
+    for batch in std::iter::once(&late.base).chain(&late.batches) {
+        session
+            .apply(&tdx::DeltaBatch::from_instance(batch))
+            .unwrap();
+    }
+    let target = session.target().coalesced();
     assert!(!target.is_complete());
     let egd = body("Emp(n,c,s) & Emp(n,c,s2)");
     let out = agree("employment/egd", &target, &[&egd]);
