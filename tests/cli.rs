@@ -281,3 +281,81 @@ fn bad_data_reports_error() {
     let stderr = String::from_utf8(out.stderr).unwrap();
     assert!(stderr.contains("not in the source schema"), "{stderr}");
 }
+
+/// The runs whose full stdout is pinned in `tests/golden/<name>.stdout`.
+const GOLDEN_RUNS: &[(&str, &[&str])] = &[
+    (
+        "figure4_exchange",
+        &["exchange", "--data", "examples/data/figure4.facts"],
+    ),
+    (
+        "figure4_exchange_coalesce",
+        &[
+            "exchange",
+            "--data",
+            "examples/data/figure4.facts",
+            "--coalesce",
+        ],
+    ),
+    (
+        "figure4_normalize",
+        &["normalize", "--data", "examples/data/figure4.facts"],
+    ),
+    (
+        "figure4_normalize_naive",
+        &[
+            "normalize",
+            "--data",
+            "examples/data/figure4.facts",
+            "--naive",
+        ],
+    ),
+    (
+        "figure9_check",
+        &[
+            "check",
+            "--data",
+            "examples/data/figure4.facts",
+            "--solution",
+            "examples/data/figure9.facts",
+        ],
+    ),
+    (
+        "employment40_exchange",
+        &["exchange", "--data", "tests/data/employment40.facts"],
+    ),
+    (
+        "employment40_exchange_coalesce",
+        &[
+            "exchange",
+            "--data",
+            "tests/data/employment40.facts",
+            "--coalesce",
+        ],
+    ),
+    (
+        "employment40_normalize",
+        &["normalize", "--data", "tests/data/employment40.facts"],
+    ),
+];
+
+#[test]
+fn golden_outputs_are_byte_identical() {
+    // Regenerate a golden only for an intended output change:
+    // `tdx <args> --mapping examples/data/paper.map > tests/golden/<name>.stdout`.
+    for (name, args) in GOLDEN_RUNS {
+        let out = tdx()
+            .args(*args)
+            .args(["--mapping", "examples/data/paper.map"])
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{name}: {out:?}");
+        let path = format!("tests/golden/{name}.stdout");
+        let golden = std::fs::read(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+        assert!(
+            out.stdout == golden,
+            "{name}: stdout differs from {path}:\n{}",
+            String::from_utf8_lossy(&out.stdout)
+        );
+    }
+}
