@@ -23,7 +23,6 @@ use tdx_core::{
     ChaseOptions, TdxError,
 };
 use tdx_logic::{parse_query, parse_tgd, UnionQuery};
-use tdx_storage::display::render_temporal_relation;
 use tdx_storage::{NullId, TemporalInstance};
 use tdx_temporal::Interval;
 use tdx_workload::{
@@ -36,12 +35,7 @@ fn iv(s: u64, e: u64) -> Interval {
 }
 
 fn print_instance(i: &TemporalInstance) {
-    for r in 0..i.schema().len() {
-        let rel = tdx_logic::RelId(r as u32);
-        if i.len(rel) > 0 {
-            print!("{}", render_temporal_relation(i, rel));
-        }
-    }
+    tdx_storage::display::write_instance(&mut std::io::stdout().lock(), i).expect("write stdout");
 }
 
 // ---------------------------------------------------------------------

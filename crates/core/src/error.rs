@@ -75,6 +75,12 @@ impl From<MatchError> for TdxError {
     }
 }
 
+impl From<tdx_logic::ParseError> for TdxError {
+    fn from(e: tdx_logic::ParseError) -> Self {
+        TdxError::Invalid(e.to_string())
+    }
+}
+
 /// Result alias for the crate.
 pub type Result<T> = std::result::Result<T, TdxError>;
 

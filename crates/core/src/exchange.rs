@@ -8,14 +8,15 @@
 use crate::abstract_view::AbstractInstance;
 use crate::chase::abstract_chase::abstract_chase;
 use crate::chase::concrete::{c_chase_with, CChaseResult, ChaseOptions};
-use crate::error::Result;
+use crate::error::{Result, TdxError};
 use crate::query::certain::{certain_answers_abstract, EpochAnswers};
 use crate::query::concrete::{naive_eval_concrete, TemporalAnswers};
 use crate::semantics::semantics;
 use crate::verify::is_solution_concrete;
 use std::sync::Arc;
-use tdx_logic::{Schema, SchemaMapping, UnionQuery};
-use tdx_storage::TemporalInstance;
+use tdx_logic::{scan_facts, FactTerm, RelId, Schema, SchemaMapping, Symbol, UnionQuery};
+use tdx_storage::fxhash::FxHashMap;
+use tdx_storage::{NullId, TemporalFact, TemporalInstance, Value};
 
 /// A configured temporal data exchange engine.
 pub struct DataExchange {
@@ -148,61 +149,68 @@ impl DataExchange {
     }
 }
 
+/// Reads fact-file text into an instance over `schema` in one pass: the
+/// scanner hands each fact over and it is checked against the schema and
+/// pushed onto its relation's list; each list is then bulk-loaded once.
+/// Schema errors name the fact's `line:col`.
 fn load_instance(
     schema: &Schema,
     text: &str,
     allow_nulls: bool,
     side: &str,
 ) -> Result<TemporalInstance> {
-    use crate::error::TdxError;
-    let facts = tdx_logic::parse_facts(text).map_err(|e| TdxError::Invalid(e.to_string()))?;
-    let mut rels: Vec<Vec<tdx_storage::TemporalFact>> = vec![Vec::new(); schema.len()];
-    let mut null_names: tdx_storage::fxhash::FxHashMap<tdx_logic::Symbol, tdx_storage::NullId> =
-        Default::default();
-    let mut next_null = 0u64;
-    for f in facts {
-        let rel = schema.rel_id(f.relation).ok_or_else(|| {
-            TdxError::Invalid(format!(
-                "fact relation {} is not in the {side} schema",
-                f.relation
-            ))
-        })?;
-        let arity = schema.relation(rel).arity();
+    let mut rels: Vec<Vec<TemporalFact>> = vec![Vec::new(); schema.len()];
+    let mut null_names: FxHashMap<Symbol, NullId> = FxHashMap::default();
+    // Fact files list a relation's facts together: remember the last one.
+    let mut last: Option<(Symbol, RelId, usize)> = None;
+    let mut data: Vec<Value> = Vec::new();
+    scan_facts(text, |f| {
+        let at = |msg: String| TdxError::Invalid(format!("fact at {}:{}: {msg}", f.line, f.col));
+        let (rel, arity) = match last {
+            Some((name, rel, arity)) if name == f.relation => (rel, arity),
+            _ => {
+                let rel = schema.rel_id(f.relation).ok_or_else(|| {
+                    at(format!(
+                        "relation {} is not in the {side} schema",
+                        f.relation
+                    ))
+                })?;
+                let arity = schema.relation(rel).arity();
+                last = Some((f.relation, rel, arity));
+                (rel, arity)
+            }
+        };
         if arity != f.values.len() {
-            return Err(TdxError::Invalid(format!(
-                "fact {}(…) has {} values, relation has arity {arity}",
+            return Err(at(format!(
+                "{}(…) has {} values, relation has arity {arity}",
                 f.relation,
                 f.values.len()
             )));
         }
-        let data: Result<Vec<tdx_storage::Value>> = f
-            .values
-            .iter()
-            .map(|t| match t {
-                tdx_logic::FactTerm::Const(c) => Ok(tdx_storage::Value::Const(*c)),
-                tdx_logic::FactTerm::Null(name) => {
-                    if !allow_nulls {
-                        return Err(TdxError::Invalid(format!(
-                            "{side} instances must be complete; found null {name}"
-                        )));
-                    }
-                    let id = *null_names.entry(*name).or_insert_with(|| {
-                        let id = tdx_storage::NullId(next_null);
-                        next_null += 1;
-                        id
-                    });
-                    Ok(tdx_storage::Value::Null(id))
+        data.clear();
+        for t in f.values {
+            data.push(match *t {
+                FactTerm::Const(c) => Value::Const(c),
+                FactTerm::Null(name) if !allow_nulls => {
+                    return Err(at(format!(
+                        "{side} instances must be complete; found null {name}"
+                    )))
                 }
-            })
-            .collect();
-        rels[rel.0 as usize].push(tdx_storage::TemporalFact {
-            data: data?.into(),
+                FactTerm::Null(name) => {
+                    let next = NullId(null_names.len() as u64);
+                    Value::Null(*null_names.entry(name).or_insert(next))
+                }
+            });
+        }
+        rels[rel.0 as usize].push(TemporalFact {
+            data: data.as_slice().into(),
             interval: f.interval,
         });
-    }
+        Ok(())
+    })?;
     let mut out = TemporalInstance::new(Arc::new(schema.clone()));
     for (r, facts) in rels.iter().enumerate() {
-        out.extend(tdx_logic::RelId(r as u32), facts);
+        out.extend(RelId(r as u32), facts);
     }
     Ok(out)
 }

@@ -476,6 +476,8 @@ const FAULT_PATH_SUFFIXES: &[&str] = &[
     "query/compiled.rs",
     "query/cache.rs",
     "storage/src/snapshot.rs",
+    // The `.facts` scanner: every byte it reads is untrusted file text.
+    "logic/src/facts.rs",
 ];
 
 /// Whether `path` is one of the panic-free fault-path files.

@@ -12,7 +12,8 @@
 //!   `M = (R_S, R_T, Σ_st, Σ_eg)`;
 //! * [`ConjunctiveQuery`] / [`UnionQuery`] — (unions of) conjunctive queries
 //!   over the target schema;
-//! * [`parser`] — a small text syntax for all of the above.
+//! * [`parser`] — a small text syntax for all of the above;
+//! * [`facts`] — the one-pass reader for `.facts` data files.
 //!
 //! Dependencies and queries are written **non-temporally**, exactly as in the
 //! paper: the universally quantified interval variable `t` that turns `φ(x̄)`
@@ -24,6 +25,7 @@
 pub mod atom;
 pub mod constant;
 pub mod dependency;
+pub mod facts;
 pub mod parser;
 pub mod query;
 pub mod schema;
@@ -34,9 +36,10 @@ pub mod term;
 pub use atom::Atom;
 pub use constant::Constant;
 pub use dependency::{Dependency, Egd, SchemaMapping, Tgd};
+pub use facts::{parse_fact, parse_facts, scan_facts, FactTerm, ParsedFact, ScannedFact};
 pub use parser::{
-    parse_egd, parse_fact, parse_facts, parse_mapping, parse_query, parse_schema,
-    parse_temporal_tgd, parse_tgd, parse_union_query, FactTerm, ParseError, ParsedFact,
+    parse_egd, parse_mapping, parse_query, parse_schema, parse_temporal_tgd, parse_tgd,
+    parse_union_query, ParseError,
 };
 pub use query::{ConjunctiveQuery, UnionQuery};
 pub use schema::{RelId, RelationSchema, Schema};

@@ -1,4 +1,5 @@
 //! A small text syntax for schemas, dependencies, queries and mappings.
+//! Fact files have their own one-pass reader in [`crate::facts`].
 //!
 //! Conventions (following the paper's notation):
 //!
@@ -72,9 +73,7 @@ enum Tok {
     Exists,  // exists or ∃
     LBrace,
     RBrace,
-    LBracket, // [
-    At,       // @
-    Inf,      // inf or ∞
+    Inf, // inf or ∞: reserved, so never a variable
 }
 
 #[derive(Debug, Clone)]
@@ -85,6 +84,7 @@ struct Spanned {
 }
 
 struct Lexer<'a> {
+    text: &'a str,
     src: &'a [u8],
     pos: usize,
     line: u32,
@@ -94,6 +94,7 @@ struct Lexer<'a> {
 impl<'a> Lexer<'a> {
     fn new(src: &'a str) -> Self {
         Lexer {
+            text: src,
             src: src.as_bytes(),
             pos: 0,
             line: 1,
@@ -115,7 +116,8 @@ impl<'a> Lexer<'a> {
         if b == b'\n' {
             self.line += 1;
             self.col = 1;
-        } else {
+        } else if b & 0xC0 != 0x80 {
+            // Columns count chars: UTF-8 continuation bytes add none.
             self.col += 1;
         }
         Some(b)
@@ -184,14 +186,6 @@ impl<'a> Lexer<'a> {
                     self.bump();
                     Tok::RBrace
                 }
-                b'[' => {
-                    self.bump();
-                    Tok::LBracket
-                }
-                b'@' => {
-                    self.bump();
-                    Tok::At
-                }
                 b'&' => {
                     self.bump();
                     Tok::Amp
@@ -230,15 +224,17 @@ impl<'a> Lexer<'a> {
                 b'\'' | b'"' => {
                     let quote = b;
                     self.bump();
-                    let mut s = String::new();
+                    let start = self.pos;
                     loop {
                         match self.bump() {
                             None => return Err(self.error("unterminated string literal")),
                             Some(c) if c == quote => break,
-                            Some(c) => s.push(c as char),
+                            Some(_) => {}
                         }
                     }
-                    Tok::Quoted(s)
+                    // Slice the text, not the bytes: the quotes are ASCII,
+                    // so the body is whole UTF-8 chars.
+                    Tok::Quoted(self.text.get(start..self.pos - 1).unwrap_or("").to_owned())
                 }
                 _ if b.is_ascii_digit() => {
                     let mut s = String::new();
@@ -296,7 +292,11 @@ impl<'a> Lexer<'a> {
                             continue;
                         }
                     }
-                    return Err(self.error(format!("unexpected character '{}'", b as char)));
+                    let c = self.text.get(self.pos..).and_then(|t| t.chars().next());
+                    return Err(self.error(format!(
+                        "unexpected character '{}'",
+                        c.unwrap_or(char::REPLACEMENT_CHARACTER)
+                    )));
                 }
             };
             out.push(Spanned { tok, line, col });
@@ -586,100 +586,6 @@ impl Parser {
             Err(self.error_here("unexpected trailing input"))
         }
     }
-
-    /// `[s, e)` or `[s, inf)` / `[s, ∞)`.
-    fn interval(&mut self) -> Result<tdx_temporal::Interval, ParseError> {
-        self.expect(Tok::LBracket, "'[' opening an interval")?;
-        let start = match self.bump() {
-            Some(Tok::Int(i)) if i >= 0 => i as u64,
-            _ => return Err(self.error_here("expected a non-negative start point")),
-        };
-        self.expect(Tok::Comma, "',' between interval endpoints")?;
-        let end = match self.bump() {
-            Some(Tok::Int(i)) if i >= 0 => Some(i as u64),
-            Some(Tok::Inf) => None,
-            _ => return Err(self.error_here("expected an end point or 'inf'")),
-        };
-        self.expect(Tok::RParen, "')' closing the half-open interval")?;
-        match end {
-            Some(e) => tdx_temporal::Interval::try_new(start, e)
-                .ok_or_else(|| self.error_here(format!("empty interval [{start}, {e})"))),
-            None => Ok(tdx_temporal::Interval::from(start)),
-        }
-    }
-
-    /// `R(c1, …, cn) @ [s, e)` — bare identifiers are coerced to string
-    /// constants (fact files have no variables); identifiers starting with
-    /// `_` denote named labeled nulls (`_x` is the annotated null `x` of
-    /// this file, scoped to the fact's interval).
-    fn fact(&mut self) -> Result<ParsedFact, ParseError> {
-        let atom = self.atom()?;
-        let values: Vec<FactTerm> = atom
-            .terms
-            .iter()
-            .map(|t| match t {
-                Term::Const(c) => FactTerm::Const(*c),
-                Term::Var(v) if v.name().starts_with('_') => FactTerm::Null(v.0),
-                Term::Var(v) => FactTerm::Const(Constant::Str(v.0)),
-            })
-            .collect();
-        self.expect(Tok::At, "'@' between fact and interval")?;
-        let interval = self.interval()?;
-        if self.peek() == Some(&Tok::Dot) {
-            self.pos += 1;
-        }
-        Ok(ParsedFact {
-            relation: atom.relation,
-            values,
-            interval,
-        })
-    }
-}
-
-/// One value position of a parsed fact.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FactTerm {
-    /// A constant.
-    Const(Constant),
-    /// A named labeled null (`_x` in the file; the name scopes nulls within
-    /// one file).
-    Null(Symbol),
-}
-
-/// A temporal fact read from a data file.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ParsedFact {
-    /// Relation name.
-    pub relation: Symbol,
-    /// Data values, one per attribute.
-    pub values: Vec<FactTerm>,
-    /// The fact's time interval.
-    pub interval: tdx_temporal::Interval,
-}
-
-/// Parses a single fact: `E(Ada, IBM) @ [2012, 2014)`.
-pub fn parse_fact(src: &str) -> Result<ParsedFact, ParseError> {
-    let mut p = Parser::new(src)?;
-    let f = p.fact()?;
-    p.finish(f)
-}
-
-/// Parses a whole fact file (facts separated by whitespace or `.`,
-/// `#`/`%` line comments allowed):
-///
-/// ```text
-/// # Figure 4
-/// E(Ada, IBM)    @ [2012, 2014)
-/// E(Ada, Google) @ [2014, inf)
-/// S(Ada, 18k)    @ [2013, ∞)
-/// ```
-pub fn parse_facts(src: &str) -> Result<Vec<ParsedFact>, ParseError> {
-    let mut p = Parser::new(src)?;
-    let mut out = Vec::new();
-    while !p.at_end() {
-        out.push(p.fact()?);
-    }
-    Ok(out)
 }
 
 /// Parses a schema: `E(name, company). S(name, salary).`
@@ -783,6 +689,7 @@ pub fn parse_mapping(src: &str) -> Result<SchemaMapping, ParseError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::facts::{parse_fact, parse_facts, FactTerm};
 
     #[test]
     fn parses_schema() {
@@ -921,6 +828,10 @@ mod tests {
         .unwrap();
         assert_eq!(facts.len(), 3);
         assert_eq!(facts[2].relation.as_str(), "S");
+        // Trivia may sit between any two tokens; no separator is needed.
+        let facts = parse_facts("E(Ada,# c\n IBM)@[0,1)E(Bob,'x')@ [ 1 , inf ) .").unwrap();
+        assert_eq!(facts.len(), 2);
+        assert!(parse_facts("").unwrap().is_empty());
     }
 
     #[test]
@@ -929,6 +840,35 @@ mod tests {
         assert!(parse_fact("E(Ada) @ [5, 5)").is_err()); // empty interval
         assert!(parse_fact("E(Ada) @ [9, 4)").is_err()); // reversed
         assert!(parse_fact("E(Ada) @ [-3, 4)").is_err()); // negative start
+        assert!(parse_fact("E(inf, x) @ [0, 1)").is_err()); // keyword value
+        assert!(parse_fact("E(exists) @ [0, 1)").is_err());
+        assert!(parse_fact("inf(x) @ [0, 1)").is_err());
+        assert!(parse_fact("E(x) @ [inf, 1)").is_err());
+        assert!(parse_fact("E(x) @ [0, infinity)").is_err());
+        assert!(parse_fact("E(x) @ [0, 1a)").is_err());
+        assert!(parse_fact("E(-7k) @ [0, 1)").is_err());
+        assert!(parse_fact("E(x) @ [0, 1)..").is_err());
+        assert!(parse_fact("E(x) @ [0, 1) E(y) @ [0, 1)").is_err()); // two facts
+        assert!(parse_fact("").is_err());
+        assert!(parse_fact("E('open) @ [0, 1)").is_err());
+    }
+
+    #[test]
+    fn quoted_constants_keep_their_utf8() {
+        let q = parse_query("Q(n) :- Emp(n, 'Zürich', s)").unwrap();
+        assert_eq!(q.body[0].terms[1], Term::constant("Zürich"));
+        let t = parse_tgd("E(n, \"Zürich AG\") -> Emp(n, '∞ ∧ →', s)").unwrap();
+        assert_eq!(t.body[0].terms[1], Term::constant("Zürich AG"));
+        assert_eq!(t.head[0].terms[1], Term::constant("∞ ∧ →"));
+    }
+
+    #[test]
+    fn error_columns_count_chars() {
+        // `ü` is two bytes but one column: the stray `$` is column 21.
+        let err = parse_tgd("E(n, 'Zürich') -> F($n)").unwrap_err();
+        assert_eq!((err.line, err.col), (1, 21), "{err}");
+        let err = parse_tgd("E(n, c) -> F(n) ü").unwrap_err();
+        assert!(err.msg.contains("'ü'"), "{err}");
     }
 
     #[test]

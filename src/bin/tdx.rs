@@ -22,7 +22,7 @@ use std::process::ExitCode;
 use tdx::core::extension::cores::concrete_core;
 use tdx::core::normalize::naive_normalize;
 use tdx::core::normalize::normalize;
-use tdx::storage::display::render_temporal_relation;
+use tdx::storage::display::write_instance;
 use tdx::{parse_mapping, parse_union_query, semantics, ChaseOptions, DataExchange};
 
 struct Args {
@@ -103,15 +103,6 @@ fn usage() -> ExitCode {
          \x20                           rerunning recovers and skips committed batches"
     );
     ExitCode::from(2)
-}
-
-fn print_instance(i: &tdx::TemporalInstance) {
-    for r in 0..i.schema().len() {
-        let rel = tdx::logic::RelId(r as u32);
-        if i.len(rel) > 0 {
-            print!("{}", render_temporal_relation(i, rel));
-        }
-    }
 }
 
 /// `tdx query`: certain answers over a chased target, evaluated through
@@ -358,7 +349,7 @@ fn run() -> Result<ExitCode, Box<dyn std::error::Error>> {
             } else {
                 result.target
             };
-            print_instance(&target);
+            write_instance(&mut std::io::stdout().lock(), &target)?;
             eprintln!(
                 "# {} source facts → {} target facts ({} tgd steps, {} egd rounds, {} nulls)",
                 result.stats.source_facts_in,
@@ -374,7 +365,7 @@ fn run() -> Result<ExitCode, Box<dyn std::error::Error>> {
             } else {
                 normalize(&source, &engine.mapping().tgd_bodies())?
             };
-            print_instance(&out);
+            write_instance(&mut std::io::stdout().lock(), &out)?;
             eprintln!("# {} facts → {} facts", source.total_len(), out.total_len());
         }
         "check" => {
@@ -505,7 +496,7 @@ fn run() -> Result<ExitCode, Box<dyn std::error::Error>> {
                 let batch = engine.load_source(&std::fs::read_to_string(path)?)?;
                 replay(&format!("batch {}", i + 1), &batch)?;
             }
-            print_instance(&session.inner().target());
+            write_instance(&mut std::io::stdout().lock(), &session.inner().target())?;
             let totals = session.inner().stats();
             eprintln!(
                 "# session: {} batches, {} tgd steps, {} egd merges, {} nulls, {} full re-chases",

@@ -359,3 +359,32 @@ fn golden_outputs_are_byte_identical() {
         );
     }
 }
+
+#[test]
+fn quoted_utf8_values_print_intact() {
+    let dir = std::env::temp_dir().join("tdx-cli-utf8");
+    std::fs::create_dir_all(&dir).unwrap();
+    let data = dir.join("zurich.facts");
+    std::fs::write(&data, "E('Zürich AG', IBM) @ [0, 5)\n").unwrap();
+    let run = |cmd: &str| {
+        let out = tdx()
+            .args([cmd, "--mapping", "examples/data/paper.map", "--data"])
+            .arg(&data)
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{cmd}: {out:?}");
+        String::from_utf8(out.stdout).unwrap()
+    };
+    assert_eq!(
+        run("exchange"),
+        "Emp+\n \
+         Name      | Company | Salary | Time\n \
+         Zürich AG | IBM     | N0     | [0, 5)\n"
+    );
+    assert_eq!(
+        run("normalize"),
+        "E+\n \
+         Name      | Company | Time\n \
+         Zürich AG | IBM     | [0, 5)\n"
+    );
+}
