@@ -523,7 +523,7 @@ pub mod transport_suite {
 /// `benches/chase.rs` and the regression gate like [`engine_suite`].
 pub mod incremental_suite {
     pub use crate::Case;
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex};
     use tdx_core::{c_chase_with, ChaseOptions, DeltaBatch, IncrementalExchange};
     use tdx_workload::{
         employment_stream, late_salary_stream, nested_stream, sparse_stream, BatchOrder,
@@ -532,6 +532,37 @@ pub mod incremental_suite {
 
     /// The group prefix every case id lives under.
     pub const GROUP: &str = "c_chase/incremental";
+
+    /// Session sizes of the `employment/insert4/<persons>` rows, smallest
+    /// first; `bench_check` gates the largest against the smallest.
+    pub const INSERT4_PERSONS: [usize; 2] = [50, 200];
+
+    /// The `insert4` stream: the tdxbench `ingest` source shape (12
+    /// companies, horizon 60, 70% salary coverage) split into a base and
+    /// one 4-fact tail-local insert batch per person — a fifth of the
+    /// source at either size.
+    fn insert4(persons: usize) -> DeltaStream {
+        let w = EmploymentConfig {
+            persons,
+            companies: 12,
+            horizon: 60,
+            salary_coverage: 0.7,
+            seed: 3,
+            ..EmploymentConfig::default()
+        };
+        let facts = tdx_workload::EmploymentWorkload::generate(&w)
+            .source
+            .total_len();
+        employment_stream(
+            &w,
+            &StreamConfig {
+                batches: persons,
+                batch_fraction: 4.0 / facts as f64,
+                order: BatchOrder::TailLocal,
+                seed: 3,
+            },
+        )
+    }
 
     /// The `late_salaries` row's stream: employment/100, salaries a batch
     /// after the jobs.
@@ -567,9 +598,40 @@ pub mod incremental_suite {
     ///   scratch: the latency an incremental batch replaces;
     /// * `employment/late_salaries/100` — clone a session seeded with the
     ///   jobs of a [`late_salary_stream`] and absorb its salary batch: the
-    ///   row that keeps the egd layer measured.
+    ///   row that keeps the egd layer measured;
+    /// * `employment/insert4/<persons>` — absorb the next 4-fact
+    ///   tail-local insert into one long-lived session seeded with
+    ///   `persons` persons (the `ingest` commit, without the WAL). After
+    ///   its last batch the session restarts from the seeded one, whose
+    ///   clone rebuilds its settled indexes on the next absorb: one
+    ///   rebuild per `persons` runs is part of the row, the same share at
+    ///   either size. An insert that cost the whole session would make
+    ///   the 200 row ≈4× the 50 row.
     pub fn cases() -> Vec<Case> {
         let mut out: Vec<Case> = Vec::new();
+        for persons in INSERT4_PERSONS {
+            let stream = insert4(persons);
+            let (seeded, _) = seed(&stream);
+            let batches: Vec<DeltaBatch> = stream
+                .batches
+                .iter()
+                .map(DeltaBatch::from_instance)
+                .collect();
+            let state = Mutex::new((seeded.clone(), 0usize));
+            out.push(Case {
+                id: format!("employment/insert4/{persons}"),
+                run: Box::new(move || {
+                    let mut guard = state.lock().unwrap_or_else(|e| e.into_inner());
+                    let (session, next) = &mut *guard;
+                    if *next == batches.len() {
+                        *session = seeded.clone();
+                        *next = 0;
+                    }
+                    session.apply(&batches[*next]).unwrap();
+                    *next += 1;
+                }),
+            });
+        }
         for persons in [50usize, 100] {
             let stream = employment_stream(
                 &EmploymentConfig {

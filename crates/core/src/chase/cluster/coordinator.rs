@@ -82,13 +82,14 @@ use crate::chase::partitioned::{
     apply_cuts, base_align_cuts, image_cuts, pack_ref, refragment_lists, rewrite_values,
     sweep_specs, unpack_ref, CutMap,
 };
+use crate::chase::settled::{LazyIndex, Settled};
 use crate::error::{Result, TdxError};
 use crate::normalize::FactRef;
 use std::sync::Arc;
 use std::time::Duration;
 use tdx_logic::{Atom, RelId, Schema, SchemaMapping, Term, Var};
 use tdx_storage::codec::{decode, encode};
-use tdx_storage::fxhash::FxHashSet;
+use tdx_storage::fxhash::{FxHashMap, FxHashSet};
 use tdx_storage::{
     NullGen, Row, SearchOptions, TemporalFact, TemporalInstance, TemporalMode, Value,
 };
@@ -97,8 +98,46 @@ use tdx_temporal::{Interval, TimelinePartition};
 // ---------------------------------------------------------------------------
 // The coordinator kernel
 
-/// A memo entry: determined head values + the shared interval.
-pub(crate) type MemoKey = (Vec<Value>, Interval);
+/// A restricted-check memo ([`Check::Memo`]): determined head values →
+/// the intervals a head fact carrying them was inserted at. A
+/// homomorphism at `iv` is witnessed when a recorded interval for its key
+/// *covers* `iv`: the covering fact holds at every point of `iv`, and
+/// neither normalization (fragments cover their original) nor egd
+/// rewriting (nulls only become more specific; determined values are
+/// source constants) ever takes that coverage away.
+#[derive(Clone, Default)]
+pub(crate) struct MemoTable {
+    entries: FxHashMap<Vec<Value>, Vec<Interval>>,
+}
+
+impl MemoTable {
+    /// Records that a head fact with determined values `key` holds over
+    /// `iv`.
+    pub(crate) fn insert(&mut self, key: Vec<Value>, iv: Interval) {
+        let ivs = self.entries.entry(key).or_default();
+        if !ivs.contains(&iv) {
+            ivs.push(iv);
+        }
+    }
+
+    /// Whether a recorded interval for `key` covers `iv`.
+    pub(crate) fn covers(&self, key: &[Value], iv: Interval) -> bool {
+        self.entries
+            .get(key)
+            .is_some_and(|ivs| ivs.iter().any(|m| m.covers(&iv)))
+    }
+
+    /// Every `(key, interval)` entry, in hash order.
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (&Vec<Value>, Interval)> {
+        self.entries
+            .iter()
+            .flat_map(|(k, ivs)| ivs.iter().map(move |iv| (k, *iv)))
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.entries.clear();
+    }
+}
 
 /// The restricted-chase check for one tgd, cheapest applicable tier first:
 /// without existentials, "no extension into the target" is just "some head
@@ -178,7 +217,7 @@ pub(crate) fn fire_order<'a>(checks: impl IntoIterator<Item = &'a Check>) -> Vec
 
 /// Registers an inserted target fact with every memo watching its relation.
 pub(crate) fn register_memo<'a>(
-    memos: &mut [FxHashSet<MemoKey>],
+    memos: &mut [MemoTable],
     checks: impl Iterator<Item = &'a Check>,
     rel: RelId,
     data: &[Value],
@@ -188,7 +227,7 @@ pub(crate) fn register_memo<'a>(
         if let Check::Memo { rel: mrel, cols } = check {
             if *mrel == rel {
                 let key: Vec<Value> = cols.iter().map(|&c| data[c]).collect();
-                memos[mi].insert((key, iv));
+                memos[mi].insert(key, iv);
             }
         }
     }
@@ -273,7 +312,7 @@ pub(crate) fn fold_merge_ops(
 pub(crate) struct TgdFolder<'a> {
     mapping: &'a SchemaMapping,
     checks: Vec<(Check, Vec<Var>)>,
-    memos: Vec<FxHashSet<MemoKey>>,
+    memos: Vec<MemoTable>,
     pub(crate) nulls: NullGen,
 }
 
@@ -334,7 +373,7 @@ impl<'a> TgdFolder<'a> {
                 }
                 Check::Memo { rel: _, cols } => {
                     let key = memo_probe_key(cols, &tgd.head[0], &h)?;
-                    if self.memos[ti].contains(&(key, iv)) {
+                    if self.memos[ti].covers(&key, iv) {
                         continue;
                     }
                 }
@@ -1669,6 +1708,8 @@ pub fn c_chase_distributed_with(
     let src_schema = Arc::new(mapping.source().clone());
     let tgds = mapping.st_tgds();
     let mut src_pre: FactLists = vec![Vec::new(); nrels_src];
+    let mut src_index = LazyIndex::default();
+    let mut src_block = Settled::new(&mut src_pre, &mut src_index, &src_schema, &tgd_bodies);
     let mut src_delta: FactLists = (0..nrels_src)
         .map(|r| ic.facts(RelId(r as u32)).to_vec())
         .collect();
@@ -1681,34 +1722,35 @@ pub fn c_chase_distributed_with(
             let mut fresh: Vec<Vec<bool>> = src_delta.iter().map(|d| vec![true; d.len()]).collect();
             loop {
                 let (homs, images) = cluster.run_tgd_round_fused(
-                    &src_pre,
+                    src_block.lists,
                     &src_delta,
                     Some(&fresh),
                     discover,
                     tgds.len(),
                 )?;
                 let mut cuts = CutMap::default();
-                image_cuts(&images, &src_pre, &src_delta, &mut cuts);
-                base_align_cuts(&src_pre, &src_delta, &mut cuts);
+                let (lists, settled) = src_block.parts();
+                image_cuts(&images, lists, &src_delta, &mut cuts);
+                base_align_cuts(lists, &src_delta, &fresh, settled, &mut cuts);
                 if cuts.is_empty() {
                     break homs;
                 }
-                (src_pre, src_delta, fresh) = apply_cuts(nrels_src, &cuts, src_pre, src_delta);
+                (src_delta, fresh) = apply_cuts(&mut src_block, &cuts, src_delta);
             }
         }
         None => {
-            (src_pre, src_delta) = refragment_lists(
+            src_delta = refragment_lists(
                 &src_schema,
                 &tp,
                 threads,
                 sopts,
                 Some(&tgd_bodies),
                 opts.naive_normalization,
-                src_pre,
+                &mut src_block,
                 src_delta,
             )?;
             cluster
-                .run_tgd_round_fused(&src_pre, &src_delta, None, false, tgds.len())?
+                .run_tgd_round_fused(src_block.lists, &src_delta, None, false, tgds.len())?
                 .0
         }
     };
@@ -1759,6 +1801,8 @@ pub fn c_chase_distributed_with(
         });
     }
     let mut pre: FactLists = vec![Vec::new(); nrels_tgt];
+    let mut tgt_index = LazyIndex::default();
+    let mut block = Settled::new(&mut pre, &mut tgt_index, &tgt_schema, &egd_bodies);
     let mut delta: FactLists = (0..nrels_tgt)
         .map(|r| target.facts(RelId(r as u32)).to_vec())
         .collect();
@@ -1780,39 +1824,47 @@ pub fn c_chase_distributed_with(
         let ops = match &tgt_sweep {
             Some(specs) => loop {
                 let (ops, images) = cluster.run_egd_round_fused(
-                    &pre,
+                    block.lists,
                     &delta,
                     Some(&fresh),
                     discover_round && !specs.is_empty(),
                 )?;
                 let mut cuts = CutMap::default();
+                let (lists, settled) = block.parts();
                 if discover_round {
-                    image_cuts(&images, &pre, &delta, &mut cuts);
+                    image_cuts(&images, lists, &delta, &mut cuts);
                 }
-                base_align_cuts(&pre, &delta, &mut cuts);
+                base_align_cuts(lists, &delta, &fresh, settled, &mut cuts);
                 if cuts.is_empty() {
                     break ops;
                 }
-                (pre, delta, fresh) = apply_cuts(nrels_tgt, &cuts, pre, delta);
+                (delta, fresh) = apply_cuts(&mut block, &cuts, delta);
             },
             None => {
                 let renorm = discover_round.then_some(egd_bodies.as_slice());
-                (pre, delta) = refragment_lists(
+                delta = refragment_lists(
                     &tgt_schema,
                     &tp,
                     threads,
                     sopts,
                     renorm,
                     opts.naive_normalization,
-                    std::mem::take(&mut pre),
+                    &mut block,
                     std::mem::take(&mut delta),
                 )?;
-                cluster.run_egd_round_fused(&pre, &delta, None, false)?.0
+                cluster
+                    .run_egd_round_fused(block.lists, &delta, None, false)?
+                    .0
             }
         };
         if !normalized_recorded {
             normalized_recorded = true;
-            stats.target_facts_normalized = pre.iter().chain(delta.iter()).map(|l| l.len()).sum();
+            stats.target_facts_normalized = block
+                .lists
+                .iter()
+                .chain(delta.iter())
+                .map(|l| l.len())
+                .sum();
         }
         let mut uf = AnnotatedUnionFind::new();
         let merges = fold_merge_ops(
@@ -1841,7 +1893,7 @@ pub fn c_chase_distributed_with(
                 stats.egd_rounds
             ),
         );
-        (pre, delta) = rewrite_values(&tgt_schema, &pre, &delta, &mut uf);
+        delta = rewrite_values(&mut block, delta, &mut uf);
         if tgt_sweep.is_some() {
             fresh = delta.iter().map(|d| vec![true; d.len()]).collect();
         }

@@ -55,5 +55,5 @@ pub use transport::{
 
 pub(crate) use coordinator::{
     classify_check, fire_order, fold_merge_ops, is_transport_error, memo_probe_key, register_memo,
-    Check,
+    Check, MemoTable,
 };

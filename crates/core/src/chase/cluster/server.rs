@@ -399,7 +399,7 @@ impl ServerState {
             .zip(splits.iter())
             .map(|(list, &s)| list[s..].to_vec())
             .collect();
-        Ok(sweep_images(&pre, &delta, Some(fresh), &specs, 1)
+        Ok(sweep_images(&pre, &delta, Some(fresh), &specs, 1, None)
             .into_iter()
             .map(|(ka, kb)| {
                 let ((ra, ga), (rb, gb)) = (unpack_ref(ka), unpack_ref(kb));

@@ -281,6 +281,18 @@ impl AnnotatedUnionFind {
         }
     }
 
+    /// The annotated nulls this union-find maps elsewhere: exactly the
+    /// `(base, fact interval)` pairs [`resolve`](Self::resolve) changes.
+    pub(crate) fn merged_nulls(&self) -> Vec<(NullId, Interval)> {
+        self.parent
+            .keys()
+            .filter_map(|k| match k {
+                UfKey::Null(n, iv) => Some((*n, *iv)),
+                UfKey::Const(_) => None,
+            })
+            .collect()
+    }
+
     pub(crate) fn resolve(&mut self, v: &Value, fact_interval: Interval) -> Value {
         match v {
             Value::Const(_) => *v,

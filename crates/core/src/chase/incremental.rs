@@ -67,14 +67,15 @@
 
 use crate::chase::cluster::{
     classify_check, fire_order, fold_merge_ops, is_transport_error, memo_probe_key,
-    resolve_transport, spawner_for, Check, DistributedCluster, Hom, MergeOp, TrafficStats,
-    TransportSpawner,
+    resolve_transport, spawner_for, Check, DistributedCluster, Hom, MemoTable, MergeOp,
+    TrafficStats, TransportSpawner,
 };
 use crate::chase::concrete::{
     instantiate, narrate_tgd_step, AnnotatedUnionFind, CChaseResult, ChaseEngine, ChaseOptions,
     ChaseStats, UfKey,
 };
 use crate::chase::partitioned::{fact_at, refragment_lists, rewrite_values, FactLists};
+use crate::chase::settled::{LazyIndex, Settled};
 use crate::error::{Result, TdxError};
 use crate::query::cache::{DirtySet, QueryService};
 use std::collections::BTreeSet;
@@ -296,9 +297,10 @@ impl JoinPlan {
 
 /// A per-phase candidate index for dirty-interval shared joins: for every
 /// relation, the facts living at a *dirty interval* (an interval some delta
-/// fact carries, in any relation), bucketed by interval and tagged fresh
-/// when drawn from the delta block. Built once per phase with a single
-/// scan per relation and shared by every join of that phase.
+/// fact carries, in any relation), bucketed by interval in global-id order
+/// and tagged fresh when drawn from the delta block. Settled candidates
+/// come from the block's interval index, delta ones from one scan of the
+/// (small) delta; built once per phase and shared by every join of it.
 struct DirtyIndex {
     /// Sorted dirty intervals (deterministic enumeration order).
     intervals: Vec<Interval>,
@@ -307,31 +309,36 @@ struct DirtyIndex {
 }
 
 impl DirtyIndex {
-    fn build(pre: &FactLists, delta: &FactLists) -> DirtyIndex {
+    fn build(pre: &mut Settled<'_>, delta: &FactLists) -> DirtyIndex {
         let mut dirty: FxHashSet<Interval> = Default::default();
         for facts in delta {
             for fact in facts {
                 dirty.insert(fact.interval);
             }
         }
+        let mut intervals: Vec<Interval> = dirty.into_iter().collect();
+        intervals.sort_unstable();
+        let (pre, settled) = pre.parts();
         let mut buckets: Vec<FxHashMap<Interval, Vec<(u32, bool)>>> = Vec::with_capacity(pre.len());
-        for (p, d) in pre.iter().zip(delta.iter()) {
+        for (r, (p, d)) in pre.iter().zip(delta.iter()).enumerate() {
             let mut by_iv: FxHashMap<Interval, Vec<(u32, bool)>> = Default::default();
-            if !dirty.is_empty() {
-                let pre_len = p.len();
-                for (i, fact) in p.iter().chain(d.iter()).enumerate() {
-                    if dirty.contains(&fact.interval) {
-                        by_iv
-                            .entry(fact.interval)
-                            .or_default()
-                            .push((i as u32, i >= pre_len));
+            if let Some(idx) = settled {
+                for &iv in &intervals {
+                    for pos in idx.at_interval(RelId(r as u32), iv) {
+                        if p[pos as usize].interval == iv {
+                            by_iv.entry(iv).or_default().push((pos, false));
+                        }
                     }
                 }
             }
+            for (i, fact) in d.iter().enumerate() {
+                by_iv
+                    .entry(fact.interval)
+                    .or_default()
+                    .push(((p.len() + i) as u32, true));
+            }
             buckets.push(by_iv);
         }
-        let mut intervals: Vec<Interval> = dirty.into_iter().collect();
-        intervals.sort_unstable();
         DirtyIndex { intervals, buckets }
     }
 }
@@ -509,11 +516,17 @@ pub struct IncrementalExchange {
     nsrc: FactLists,
     /// Materialized target at egd fixpoint (settled between batches).
     tgt: FactLists,
+    /// Lookup indexes beside `nsrc` and `tgt` (see `chase::settled`):
+    /// built on the first absorb against a non-empty block, maintained
+    /// by every in-place edit, dropped whenever the lists are replaced,
+    /// and never cloned.
+    nsrc_index: LazyIndex,
+    tgt_index: LazyIndex,
 
     plans: Vec<TgdPlan>,
     egd_plans: Vec<EgdPlan>,
     /// Per-tgd persistent restricted-check memos (Memo tier).
-    memos: Vec<FxHashSet<(Vec<Value>, Interval)>>,
+    memos: Vec<MemoTable>,
     /// Whether any tgd needs the Probe tier (materialize-and-probe).
     probe_needed: bool,
     /// Partition servers (`ChaseEngine::Distributed`); `0` = evaluate
@@ -625,6 +638,8 @@ impl IncrementalExchange {
             endpoints_at_cut: 0,
             nsrc: vec![Vec::new(); nsrcs],
             tgt: vec![Vec::new(); ntgts],
+            nsrc_index: LazyIndex::default(),
+            tgt_index: LazyIndex::default(),
             plans,
             egd_plans,
             memos,
@@ -672,7 +687,7 @@ impl IncrementalExchange {
             h.write(&encode(&egd.lhs));
             h.write(&encode(&egd.rhs));
         }
-        h.finish()
+        h.finish_unrotated()
     }
 
     /// Serializes the session's full chase state — accumulated source,
@@ -694,11 +709,19 @@ impl IncrementalExchange {
         self.tgt.write(&mut w);
         w.u64(self.memos.len() as u64);
         for memo in &self.memos {
-            let mut entries: Vec<&(Vec<Value>, Interval)> = memo.iter().collect();
-            entries.sort_by_cached_key(|e| encode(*e));
+            // Sorted by their `(key, interval)` tuple encoding: the bytes
+            // a memo set of such tuples was always written as.
+            let mut entries: Vec<(&Vec<Value>, Interval)> = memo.entries().collect();
+            entries.sort_by_cached_key(|(key, iv)| {
+                let mut e = ByteWriter::new();
+                key.write(&mut e);
+                iv.write(&mut e);
+                e.into_bytes()
+            });
             w.u64(entries.len() as u64);
-            for entry in entries {
-                entry.write(&mut w);
+            for (key, iv) in entries {
+                key.write(&mut w);
+                iv.write(&mut w);
             }
         }
         w.u64(self.nulls.peek());
@@ -741,14 +764,15 @@ impl IncrementalExchange {
                 "durable state: memo table count mismatch".into(),
             ));
         }
-        let mut memos: Vec<FxHashSet<(Vec<Value>, Interval)>> = Vec::with_capacity(nmemos);
+        let mut memos: Vec<MemoTable> = Vec::with_capacity(nmemos);
         for _ in 0..nmemos {
             let len = r.u64().map_err(bad)? as usize;
-            let mut set: FxHashSet<(Vec<Value>, Interval)> = Default::default();
+            let mut table = MemoTable::default();
             for _ in 0..len {
-                set.insert(Wire::read(&mut r).map_err(bad)?);
+                let (key, iv): (Vec<Value>, Interval) = Wire::read(&mut r).map_err(bad)?;
+                table.insert(key, iv);
             }
-            memos.push(set);
+            memos.push(table);
         }
         let nulls_next = r.u64().map_err(bad)?;
         let stats = SessionStats {
@@ -793,6 +817,8 @@ impl IncrementalExchange {
         self.tp = tp;
         self.nsrc = nsrc;
         self.tgt = tgt;
+        self.nsrc_index.clear();
+        self.tgt_index.clear();
         self.memos = memos;
         self.nulls = NullGen::starting_at(nulls_next);
         self.stats = stats;
@@ -1120,8 +1146,37 @@ impl IncrementalExchange {
     }
 
     /// The incremental core: absorbs `fresh` (already recorded in the
-    /// accumulated source) and restores the chase fixpoint.
+    /// accumulated source) and restores the chase fixpoint. The settled
+    /// blocks are edited in place, beside their indexes; on failure they
+    /// are left half-edited, and the caller rebuilds the session.
     fn absorb(&mut self, fresh: FactLists, batch_facts: usize) -> Result<BatchStats> {
+        let mut nsrc = std::mem::take(&mut self.nsrc);
+        let mut nsrc_index = std::mem::take(&mut self.nsrc_index);
+        let mut tgt = std::mem::take(&mut self.tgt);
+        let mut tgt_index = std::mem::take(&mut self.tgt_index);
+        let mapping = Arc::clone(&self.mapping);
+        let (src_schema, tgt_schema) = (Arc::clone(&self.src_schema), Arc::clone(&self.tgt_schema));
+        let (tgd_bodies, egd_bodies) = (mapping.tgd_bodies(), mapping.egd_bodies());
+        let out = self.absorb_into(
+            Settled::new(&mut nsrc, &mut nsrc_index, &src_schema, &tgd_bodies),
+            Settled::new(&mut tgt, &mut tgt_index, &tgt_schema, &egd_bodies),
+            fresh,
+            batch_facts,
+        );
+        self.nsrc = nsrc;
+        self.nsrc_index = nsrc_index;
+        self.tgt = tgt;
+        self.tgt_index = tgt_index;
+        out
+    }
+
+    fn absorb_into(
+        &mut self,
+        mut nsrc: Settled<'_>,
+        mut tgt: Settled<'_>,
+        fresh: FactLists,
+        batch_facts: usize,
+    ) -> Result<BatchStats> {
         let mut stats = BatchStats {
             batch_facts,
             ..BatchStats::default()
@@ -1156,50 +1211,35 @@ impl IncrementalExchange {
                 stats.partitions, self.threads
             ));
         }
+        let lens = |lists: &FactLists| lists.iter().map(Vec::len).sum::<usize>();
 
         // Drop batch facts already present verbatim in the normalized
         // source — re-asserting an existing fragment discovers no cut, so
         // without this the duplicate would settle into the lists and
         // accumulate across batches (the raw-source dedup above cannot see
         // fragments; correctness is unaffected, size is).
-        let mut batch_set: FxHashSet<(u32, Row, Interval)> = fresh
-            .iter()
-            .enumerate()
-            .flat_map(|(r, facts)| {
-                facts
-                    .iter()
-                    .map(move |f| (r as u32, Arc::clone(&f.data), f.interval))
-            })
-            .collect();
-        for (r, facts) in self.nsrc.iter().enumerate() {
-            for fact in facts {
-                batch_set.remove(&(r as u32, Arc::clone(&fact.data), fact.interval));
-            }
-        }
         let mut fresh = fresh;
         for (r, facts) in fresh.iter_mut().enumerate() {
-            facts.retain(|f| batch_set.contains(&(r as u32, Arc::clone(&f.data), f.interval)));
+            facts.retain(|f| !nsrc.contains(RelId(r as u32), &f.data, f.interval));
         }
 
         // Step 1: incremental source renormalization — the batch facts are
         // the fresh seed; settled facts re-fragment only when a new image
         // touches them.
         let tgd_bodies = self.mapping.tgd_bodies();
-        let source_before: usize = self.nsrc.iter().chain(fresh.iter()).map(Vec::len).sum();
-        let pre = std::mem::take(&mut self.nsrc);
-        let (npre, ndelta) = refragment_lists(
+        let source_before = lens(nsrc.lists) + lens(&fresh);
+        let ndelta = refragment_lists(
             &self.src_schema,
             &self.tp,
             self.threads,
             SearchOptions::default(),
             Some(&tgd_bodies),
             self.opts.naive_normalization,
-            pre,
+            &mut nsrc,
             fresh,
         )?;
-        stats.source_delta = ndelta.iter().map(|l| l.len()).sum();
-        stats.normalized_source_facts =
-            npre.iter().map(Vec::len).sum::<usize>() + stats.source_delta;
+        stats.source_delta = lens(&ndelta);
+        stats.normalized_source_facts = lens(nsrc.lists) + stats.source_delta;
         if tracing {
             stats.trace.push(format!(
                 "normalized source w.r.t. Σst: {source_before} → {} facts",
@@ -1213,20 +1253,15 @@ impl IncrementalExchange {
             }
         }
 
-        // Step 2: delta-scoped tgd steps at dirty intervals.
+        // Step 2: delta-scoped tgd steps at dirty intervals. A head fact is
+        // new unless the settled target or this batch already holds it.
         let mut new_facts: FactLists = vec![Vec::new(); self.tgt_schema.len()];
-        let mut existing: FxHashSet<(u32, Row, Interval)> = self
-            .tgt
-            .iter()
-            .enumerate()
-            .flat_map(|(r, facts)| {
-                facts
-                    .iter()
-                    .map(move |f| (r as u32, Arc::clone(&f.data), f.interval))
-            })
-            .collect();
+        let mut inserted: FxHashSet<(u32, Row, Interval)> = Default::default();
+        let mut is_new = |tgt: &mut Settled<'_>, rel: RelId, row: &Row, iv: Interval| {
+            !tgt.contains(rel, row, iv) && inserted.insert((rel.0, Arc::clone(row), iv))
+        };
         let mut probe_inst: Option<TemporalInstance> = if self.probe_needed {
-            Some(lists_to_instance(&self.tgt_schema, &self.tgt))
+            Some(lists_to_instance(&self.tgt_schema, tgt.lists))
         } else {
             None
         };
@@ -1235,12 +1270,12 @@ impl IncrementalExchange {
         // index. Either way the homomorphisms arrive per tgd, delta-scoped
         // and deterministically ordered.
         let mut cluster_homs: Option<Vec<Vec<Hom>>> = if self.servers > 0 {
-            Some(self.distributed_tgd_round(&npre, &ndelta)?)
+            Some(self.distributed_tgd_round(nsrc.lists, &ndelta)?)
         } else {
             None
         };
         let src_idx = if cluster_homs.is_none() {
-            Some(DirtyIndex::build(&npre, &ndelta))
+            Some(DirtyIndex::build(&mut nsrc, &ndelta))
         } else {
             None
         };
@@ -1251,7 +1286,7 @@ impl IncrementalExchange {
                     let idx = src_idx.as_ref().expect("local dirty index built");
                     let plan = &self.plans[ti];
                     let mut homs = Vec::new();
-                    shared_join_delta(&plan.body, &npre, &ndelta, idx, |vals, iv| {
+                    shared_join_delta(&plan.body, nsrc.lists, &ndelta, idx, |vals, iv| {
                         homs.push((
                             plan.body
                                 .vars
@@ -1273,7 +1308,7 @@ impl IncrementalExchange {
                         let mut fired = false;
                         for (rel, atom) in &plan.head {
                             let row: Row = instantiate(atom, &h).into();
-                            if existing.insert((rel.0, Arc::clone(&row), iv)) {
+                            if is_new(&mut tgt, *rel, &row, iv) {
                                 register_memo(&mut self.memos, &self.plans, *rel, &row, iv);
                                 if let Some(pi) = probe_inst.as_mut() {
                                     pi.insert(*rel, Arc::clone(&row), iv);
@@ -1296,7 +1331,7 @@ impl IncrementalExchange {
                     }
                     Check::Memo { rel: _, cols } => {
                         let key = memo_probe_key(cols, &plan.head[0].1, &h)?;
-                        if self.memos[ti].contains(&(key, iv)) {
+                        if self.memos[ti].covers(&key, iv) {
                             continue;
                         }
                     }
@@ -1321,7 +1356,7 @@ impl IncrementalExchange {
                 }
                 for (rel, atom) in &self.plans[ti].head {
                     let row: Row = instantiate(atom, &env).into();
-                    if existing.insert((rel.0, Arc::clone(&row), iv)) {
+                    if is_new(&mut tgt, *rel, &row, iv) {
                         register_memo(&mut self.memos, &self.plans, *rel, &row, iv);
                         if let Some(pi) = probe_inst.as_mut() {
                             pi.insert(*rel, Arc::clone(&row), iv);
@@ -1339,13 +1374,13 @@ impl IncrementalExchange {
                 }
             }
         }
-        // Source fixpoint settles: delta drains into pre.
-        self.nsrc = settle(npre, ndelta);
-        stats.target_new_facts = new_facts.iter().map(|l| l.len()).sum();
-        stats.target_facts_after_tgd = self.target_len() + stats.target_new_facts;
+        // Source fixpoint settles: delta drains into the settled block.
+        settle(&mut nsrc, ndelta);
+        stats.target_new_facts = lens(&new_facts);
+        stats.target_facts_after_tgd = lens(tgt.lists) + stats.target_new_facts;
         // Without new target facts nothing is normalized: the settled
         // target is the normalized one.
-        stats.target_facts_normalized = self.target_len();
+        stats.target_facts_normalized = lens(tgt.lists);
 
         // Step 3+4: boundary reconciliation and the egd fixpoint, only if
         // the batch produced target work.
@@ -1355,24 +1390,21 @@ impl IncrementalExchange {
                     dirty_parts.insert(self.tp.part_of(fact.interval.start()));
                 }
             }
-            // Borrow the bodies from a local handle so the round methods
-            // below can take `&mut self`.
             let mapping = Arc::clone(&self.mapping);
             let egd_bodies = mapping.egd_bodies();
-            let pre = std::mem::take(&mut self.tgt);
             // Initial normalization always runs w.r.t. the egd bodies (the
             // paper's step 3); per-round renormalization honors the option.
-            let (mut pre, mut delta) = refragment_lists(
+            let mut delta = refragment_lists(
                 &self.tgt_schema,
                 &self.tp,
                 self.threads,
                 SearchOptions::default(),
                 Some(&egd_bodies),
                 self.opts.naive_normalization,
-                pre,
+                &mut tgt,
                 new_facts,
             )?;
-            stats.target_facts_normalized = pre.iter().chain(delta.iter()).map(Vec::len).sum();
+            stats.target_facts_normalized = lens(tgt.lists) + lens(&delta);
             if tracing {
                 stats.trace.push(format!(
                     "normalized target w.r.t. Σeg: {} → {} facts",
@@ -1382,7 +1414,7 @@ impl IncrementalExchange {
             loop {
                 // Every round but a fresh session's first has a settled
                 // block its delta-restricted joins skip.
-                let restricted = pre.iter().any(|l| !l.is_empty());
+                let restricted = tgt.lists.iter().any(|l| !l.is_empty());
                 let mut uf = AnnotatedUnionFind::new();
                 let mut merges = 0usize;
                 let mut conflict: Option<(String, UfKey, UfKey, Interval)> = None;
@@ -1391,7 +1423,7 @@ impl IncrementalExchange {
                     // servers, fold the merge ops into the global
                     // union-find through the shared kernel (its
                     // ChaseFailure propagates like a local conflict would).
-                    let ops = self.distributed_egd_round(&pre, &delta)?;
+                    let ops = self.distributed_egd_round(tgt.lists, &delta)?;
                     merges += fold_merge_ops(
                         ops.into_iter()
                             .map(|(ei, a, b, iv)| (ei as usize, a, b, iv)),
@@ -1399,12 +1431,12 @@ impl IncrementalExchange {
                         |ei| self.egd_plans[ei].name.clone(),
                     )?;
                 } else {
-                    let tgt_idx = DirtyIndex::build(&pre, &delta);
+                    let tgt_idx = DirtyIndex::build(&mut tgt, &delta);
                     for ep in &self.egd_plans {
                         if conflict.is_some() {
                             break;
                         }
-                        shared_join_delta(&ep.body, &pre, &delta, &tgt_idx, |vals, iv| {
+                        shared_join_delta(&ep.body, tgt.lists, &delta, &tgt_idx, |vals, iv| {
                             if conflict.is_some() {
                                 return;
                             }
@@ -1449,21 +1481,21 @@ impl IncrementalExchange {
                         stats.egd_rounds
                     ));
                 }
-                let (npre, ndelta) = rewrite_values(&self.tgt_schema, &pre, &delta, &mut uf);
+                let rewritten = rewrite_values(&mut tgt, delta, &mut uf);
                 let renorm = if self.opts.renormalize_between_egd_rounds {
                     Some(egd_bodies.as_slice())
                 } else {
                     None // paper-faithful: alignment cuts only
                 };
-                (pre, delta) = refragment_lists(
+                delta = refragment_lists(
                     &self.tgt_schema,
                     &self.tp,
                     self.threads,
                     SearchOptions::default(),
                     renorm,
                     self.opts.naive_normalization,
-                    npre,
-                    ndelta,
+                    &mut tgt,
+                    rewritten,
                 )?;
                 for facts in &delta {
                     for fact in facts {
@@ -1471,12 +1503,12 @@ impl IncrementalExchange {
                     }
                 }
             }
-            self.tgt = settle(pre, delta);
+            settle(&mut tgt, delta);
         }
 
         stats.dirty_partitions = dirty_parts.len();
         stats.dirty_parts = dirty_parts.into_iter().collect();
-        stats.target_facts = self.target_len();
+        stats.target_facts = lens(tgt.lists);
         self.stats.tgd_steps += stats.tgd_steps;
         self.stats.egd_merges += stats.egd_merges;
         Ok(stats)
@@ -1562,6 +1594,8 @@ impl IncrementalExchange {
     fn reset_derived_state(&mut self) {
         self.nsrc = vec![Vec::new(); self.src_schema.len()];
         self.tgt = vec![Vec::new(); self.tgt_schema.len()];
+        self.nsrc_index.clear();
+        self.tgt_index.clear();
         for m in &mut self.memos {
             m.clear();
         }
@@ -1576,7 +1610,7 @@ impl IncrementalExchange {
 /// Registers an inserted target fact with every persistent memo watching
 /// its relation (the kernel's memo registration over the session's plans).
 fn register_memo(
-    memos: &mut [FxHashSet<(Vec<Value>, Interval)>],
+    memos: &mut [MemoTable],
     plans: &[TgdPlan],
     rel: RelId,
     data: &[Value],
@@ -1585,13 +1619,14 @@ fn register_memo(
     crate::chase::cluster::register_memo(memos, plans.iter().map(|p| &p.check), rel, data, iv);
 }
 
-/// Drains `delta` into `pre`, preserving order: the settled representation
-/// between batches.
-fn settle(mut pre: FactLists, delta: FactLists) -> FactLists {
-    for (p, d) in pre.iter_mut().zip(delta) {
-        p.extend(d);
+/// Drains `delta` into the settled block, preserving order: the settled
+/// representation between batches.
+fn settle(pre: &mut Settled<'_>, delta: FactLists) {
+    for (r, facts) in delta.into_iter().enumerate() {
+        for fact in facts {
+            pre.push(RelId(r as u32), fact);
+        }
     }
-    pre
 }
 
 /// The c-chase of `ic` as one batch on a fresh session built from `opts` —
@@ -2080,6 +2115,104 @@ pub(crate) mod tests {
         s.apply(&batch(&mapping, &[("E", &["Bob", "IBM"][..], iv(2, 8))]))
             .unwrap();
         assert_matches_from_scratch(&s);
+    }
+
+    /// Index maintenance matches a rebuilt index. The live session keeps
+    /// its settled indexes up to date edit by edit; a copy restored from
+    /// `encode_state` and a clone, both taken mid-stream, rebuild theirs
+    /// lazily on their first absorb. Through tail-local inserts, a
+    /// widening refine, a narrowing refine (a full re-chase) and a
+    /// conflicting batch (a rollback), all three must encode
+    /// byte-identically after every batch, and the live one must agree
+    /// with the abstract chase.
+    #[test]
+    fn maintained_indexes_match_rebuilt_ones() {
+        use crate::chase::cluster::TransportKind;
+        use tdx_workload::{employment_stream, BatchOrder, EmploymentConfig, StreamConfig};
+        let stream = employment_stream(
+            &EmploymentConfig {
+                persons: 12,
+                horizon: 30,
+                salary_coverage: 0.6,
+                seed: 5,
+                ..EmploymentConfig::default()
+            },
+            &StreamConfig {
+                batches: 7,
+                batch_fraction: 0.04,
+                order: BatchOrder::TailLocal,
+                seed: 5,
+            },
+        );
+        let mapping = &stream.mapping;
+        let rel = |name: &str| {
+            mapping
+                .source()
+                .rel_id(tdx_logic::Symbol::intern(name))
+                .unwrap()
+        };
+        let refine = |name: &str, vals: [&str; 2], interval: Interval| {
+            let mut b = DeltaBatch::new();
+            b.refine(rel(name), row(vals.map(Value::str)), interval);
+            b
+        };
+        let inserts = |i: usize| DeltaBatch::from_instance(&stream.batches[i]);
+        let steps = [
+            inserts(0),
+            batch(
+                mapping,
+                &[
+                    ("E", &["zed", "acme"][..], iv(0, 10)),
+                    ("S", &["zed", "1k"][..], iv(0, 10)),
+                    ("E", &["amy", "acme"][..], iv(3, 6)),
+                ],
+            ),
+            inserts(1),
+            inserts(2),
+            refine("E", ["amy", "acme"], iv(2, 12)),
+            inserts(3),
+            refine("E", ["zed", "acme"], iv(0, 6)),
+            inserts(4),
+            batch(mapping, &[("S", &["zed", "2k"][..], iv(2, 5))]),
+            inserts(5),
+            inserts(6),
+        ];
+        const SPLIT: usize = 3;
+        for opts in [
+            ChaseOptions::default(),
+            ChaseOptions::distributed(1).on_transport(TransportKind::Channel),
+        ] {
+            let mut live =
+                IncrementalExchange::with_options(mapping.clone(), opts.clone()).unwrap();
+            live.apply(&DeltaBatch::from_instance(&stream.base))
+                .unwrap();
+            let mut copies: Vec<IncrementalExchange> = Vec::new();
+            let mut outcomes = Vec::new();
+            for (i, step) in steps.iter().enumerate() {
+                if i == SPLIT {
+                    let mut restored =
+                        IncrementalExchange::with_options(mapping.clone(), opts.clone()).unwrap();
+                    restored.restore_state(&live.encode_state()).unwrap();
+                    copies = vec![restored, live.clone()];
+                }
+                let applied = live.apply(step);
+                outcomes.push((
+                    applied.is_ok(),
+                    applied.map(|b| b.full_rechase).unwrap_or(false),
+                ));
+                for copy in &mut copies {
+                    assert_eq!(copy.apply(step).is_ok(), outcomes[i].0, "step {i}");
+                    assert_eq!(copy.encode_state(), live.encode_state(), "step {i}");
+                }
+                assert_matches_from_scratch(&live);
+            }
+            // The stream really took every path: the narrowing refine
+            // re-chased, the conflicting batch failed, the rest applied.
+            assert_eq!(outcomes[6], (true, true));
+            assert!(!outcomes[8].0);
+            assert_eq!(outcomes.iter().filter(|o| o.0).count(), steps.len() - 1);
+            assert!(!outcomes[4].1, "the widening refine stays incremental");
+        }
     }
 
     #[test]

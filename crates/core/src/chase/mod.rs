@@ -21,6 +21,7 @@ pub mod concrete;
 pub mod durable;
 pub mod incremental;
 pub(crate) mod partitioned;
+pub(crate) mod settled;
 pub mod snapshot;
 
 pub use abstract_chase::abstract_chase;

@@ -31,13 +31,14 @@
 //! checks every engine against the Definition-16 reference.
 
 use crate::chase::concrete::AnnotatedUnionFind;
+use crate::chase::settled::{null_bases, Settled, SettledIndex};
 use crate::error::Result;
-use crate::normalize::{merge_image_sets, uf_find, FactRef};
+use crate::normalize::{merge_image_sets, FactRef};
 use std::sync::Arc;
 use tdx_logic::{Atom, RelId, Schema, Var};
 use tdx_storage::fxhash::{FxHashMap, FxHashSet};
 use tdx_storage::{
-    PartScope, Row, SearchOptions, ShardedFactStore, TemporalFact, TemporalMode, Value,
+    NullId, PartScope, Row, SearchOptions, ShardedFactStore, TemporalFact, TemporalMode, Value,
 };
 use tdx_temporal::{fragment_interval, Breakpoints, Interval, TimePoint, TimelinePartition};
 
@@ -94,7 +95,7 @@ pub(crate) fn run_tasks<R: Send>(
 /// A 2-atom conjunction compiled for the sweep join: per-atom constant and
 /// intra-atom-equality filters, plus the cross-atom join columns.
 pub(crate) struct PairSpec {
-    rels: [RelId; 2],
+    pub(crate) rels: [RelId; 2],
     consts: [Vec<(usize, Value)>; 2],
     intra: [Vec<(usize, usize)>; 2],
     /// `(col in atom 0, col in atom 1)` pairs that must be equal.
@@ -139,27 +140,74 @@ impl PairSpec {
             joins,
         })
     }
+
+    /// Whether both atoms select and key facts alike — a self-join on the
+    /// same columns, like an FD body — so either side's candidates are the
+    /// other's.
+    pub(crate) fn is_symmetric(&self) -> bool {
+        self.rels[0] == self.rels[1]
+            && self.consts[0] == self.consts[1]
+            && self.intra[0] == self.intra[1]
+            && self.joins.iter().all(|&(c0, c1)| c0 == c1)
+    }
+
+    /// Whether `fact` passes atom `side`'s constant and intra-atom
+    /// equality filters.
+    pub(crate) fn passes(&self, fact: &TemporalFact, side: usize) -> bool {
+        !self.consts[side]
+            .iter()
+            .any(|&(col, ref v)| fact.data[col] != *v)
+            && !self.intra[side]
+                .iter()
+                .any(|&(c1, c2)| fact.data[c1] != fact.data[c2])
+    }
+
+    /// The hash of `fact`'s join columns as atom `side`. No per-fact
+    /// allocation; a collision only groups unrelated facts, and the
+    /// equality re-check at emit time filters them out.
+    pub(crate) fn key_hash(&self, fact: &TemporalFact, side: usize) -> u64 {
+        use std::hash::{Hash, Hasher};
+        let mut h = tdx_storage::fxhash::FxHasher::default();
+        for &(c0, c1) in &self.joins {
+            fact.data[if side == 0 { c0 } else { c1 }].hash(&mut h);
+        }
+        h.finish()
+    }
 }
 
-/// Compiles every multi-atom conjunction of `conjs` for the sweep join, or
-/// `None` if any needs the generic matcher (more than two atoms, or an
-/// unknown relation). Single-atom conjunctions are dropped — their images
-/// are singletons and can never cut. This is the gate for **server-side**
-/// discovery: a server can run the sweep over its local lists only when
-/// every conjunction is sweepable, because the generic fallback needs the
-/// global replicated store.
-pub(crate) fn sweep_specs(schema: &Schema, conjs: &[&[Atom]]) -> Option<Vec<PairSpec>> {
+/// Splits `conjs` into the 2-atom bodies the sweep join runs (compiled,
+/// in order) and the rest, which need the generic matcher. Single-atom
+/// bodies are dropped: their images are singletons and can never cut.
+pub(crate) fn split_bodies<'c>(
+    schema: &Schema,
+    conjs: &[&'c [Atom]],
+) -> (Vec<PairSpec>, Vec<&'c [Atom]>) {
     let mut specs = Vec::new();
+    let mut generic = Vec::new();
     for &atoms in conjs {
         if atoms.len() < 2 {
             continue;
         }
-        if atoms.len() != 2 {
-            return None;
+        match (atoms.len() == 2)
+            .then(|| PairSpec::compile(atoms, schema))
+            .flatten()
+        {
+            Some(spec) => specs.push(spec),
+            None => generic.push(atoms),
         }
-        specs.push(PairSpec::compile(atoms, schema)?);
     }
-    Some(specs)
+    (specs, generic)
+}
+
+/// Compiles every multi-atom conjunction of `conjs` for the sweep join, or
+/// `None` if any needs the generic matcher (more than two atoms, or an
+/// unknown relation). This is the gate for **server-side** discovery: a
+/// server can run the sweep over its local lists only when every
+/// conjunction is sweepable, because the generic fallback needs the
+/// global replicated store.
+pub(crate) fn sweep_specs(schema: &Schema, conjs: &[&[Atom]]) -> Option<Vec<PairSpec>> {
+    let (specs, generic) = split_bodies(schema, conjs);
+    generic.is_empty().then_some(specs)
 }
 
 /// Packs a fact reference into the discovery dedup key.
@@ -177,24 +225,33 @@ pub(crate) fn unpack_ref(k: u64) -> FactRef {
 /// per spec, in spec order. Shared by coordinator-local discovery
 /// ([`discover_images`]) and the servers' fused-round discovery — byte
 /// identity across the two paths rests on both emitting the same *set* of
-/// pairs, which this function pins.
+/// pairs, which this function pins. `settled`, when given, indexes `pre`
+/// with join maps for exactly `specs` (see [`SettledIndex`]).
 pub(crate) fn sweep_images(
     pre: &FactLists,
     delta: &FactLists,
     fresh: Option<&[Vec<bool>]>,
     specs: &[PairSpec],
     threads: usize,
+    settled: Option<&SettledIndex>,
 ) -> Vec<(u64, u64)> {
     run_tasks(threads, specs.len(), |i| {
         let mut pairs: FxHashSet<(u64, u64)> = Default::default();
         let mut out: Vec<(u64, u64)> = Vec::new();
-        sweep_lists(pre, delta, fresh, &specs[i], |a, b| {
-            let (ka, kb) = (pack_ref(a), pack_ref(b));
-            let key = if ka <= kb { (ka, kb) } else { (kb, ka) };
-            if pairs.insert(key) {
-                out.push(key);
-            }
-        });
+        sweep_lists(
+            pre,
+            delta,
+            fresh,
+            &specs[i],
+            settled.map(|s| (s, i)),
+            |a, b| {
+                let (ka, kb) = (pack_ref(a), pack_ref(b));
+                let key = if ka <= kb { (ka, kb) } else { (kb, ka) };
+                if pairs.insert(key) {
+                    out.push(key);
+                }
+            },
+        );
         out
     })
     .into_iter()
@@ -219,42 +276,24 @@ fn sweep_lists(
     delta: &FactLists,
     fresh: Option<&[Vec<bool>]>,
     spec: &PairSpec,
+    settled: Option<(&SettledIndex, usize)>,
     mut emit: impl FnMut(FactRef, FactRef),
 ) {
     // Per join key, the candidate (interval, global id, fresh) entries of
-    // each atom side. Keys are *hashes* of the joined values — no per-fact
-    // allocation; a hash collision only groups unrelated facts into one
-    // bucket, and the equality re-check at emit time filters them out.
+    // each atom side. Keys are *hashes* of the joined values.
     type Entry = (Interval, u32, bool);
-    let key_hash = |fact: &TemporalFact, ai: usize| -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut h = tdx_storage::fxhash::FxHasher::default();
-        for &(c0, c1) in &spec.joins {
-            fact.data[if ai == 0 { c0 } else { c1 }].hash(&mut h);
-        }
-        h.finish()
-    };
-    let passes = |fact: &TemporalFact, ai: usize| -> bool {
-        !spec.consts[ai]
-            .iter()
-            .any(|&(col, ref v)| fact.data[col] != *v)
-            && !spec.intra[ai]
-                .iter()
-                .any(|&(c1, c2)| fact.data[c1] != fact.data[c2])
-    };
     // Restricted (semi-naive) runs: only join keys carried by some fresh
     // fact can contribute a new pair, so collect the fresh keys per side
-    // first and skip every settled fact whose key matches neither — the
-    // scan over settled facts then costs one cheap hash each instead of
-    // bucket insertions.
+    // first; a settled fact is a candidate only under one of the other
+    // side's fresh keys.
     let restricted = fresh.is_some();
     let mut fresh_keys: [FxHashSet<u64>; 2] = [Default::default(), Default::default()];
     if let Some(flags) = fresh {
         for (ai, keys) in fresh_keys.iter_mut().enumerate() {
             let r = spec.rels[ai].0 as usize;
             for (i, fact) in delta[r].iter().enumerate() {
-                if flags[r][i] && passes(fact, ai) {
-                    keys.insert(key_hash(fact, ai));
+                if flags[r][i] && spec.passes(fact, ai) {
+                    keys.insert(spec.key_hash(fact, ai));
                 }
             }
         }
@@ -266,19 +305,42 @@ fn sweep_lists(
     for ai in 0..2 {
         let r = spec.rels[ai].0 as usize;
         let pre_len = pre[r].len();
-        for (gid, fact) in pre[r].iter().chain(delta[r].iter()).enumerate() {
-            if !passes(fact, ai) {
+        match settled.filter(|_| restricted) {
+            // The settled partners of the other side's fresh keys, by
+            // lookup: the block itself is never visited.
+            Some((idx, si)) => {
+                for &key in &fresh_keys[1 - ai] {
+                    for pos in idx.join_partners(si, ai, key) {
+                        let iv = pre[r][pos as usize].interval;
+                        buckets.entry(key).or_default()[ai].push((iv, pos, false));
+                    }
+                }
+            }
+            None => {
+                for (gid, fact) in pre[r].iter().enumerate() {
+                    if !spec.passes(fact, ai) {
+                        continue;
+                    }
+                    let key = spec.key_hash(fact, ai);
+                    if restricted && !fresh_keys[1 - ai].contains(&key) {
+                        continue; // cannot pair with any fresh fact
+                    }
+                    let is_fresh = !restricted;
+                    buckets.entry(key).or_default()[ai].push((fact.interval, gid as u32, is_fresh));
+                }
+            }
+        }
+        for (i, fact) in delta[r].iter().enumerate() {
+            if !spec.passes(fact, ai) {
                 continue;
             }
-            let is_fresh = match fresh {
-                None => true,
-                Some(flags) => gid >= pre_len && flags[r][gid - pre_len],
-            };
-            let key = key_hash(fact, ai);
+            let is_fresh = fresh.is_none_or(|flags| flags[r][i]);
+            let key = spec.key_hash(fact, ai);
             if restricted && !is_fresh && !fresh_keys[1 - ai].contains(&key) {
                 continue; // cannot pair with any fresh fact
             }
-            buckets.entry(key).or_default()[ai].push((fact.interval, gid as u32, is_fresh));
+            let gid = (pre_len + i) as u32;
+            buckets.entry(key).or_default()[ai].push((fact.interval, gid, is_fresh));
         }
     }
     let (ra, rb) = (spec.rels[0], spec.rels[1]);
@@ -335,13 +397,12 @@ pub(crate) fn fact_at<'a>(
 
 /// Image discovery for Algorithm 1 over the working fact lists.
 ///
-/// Single-atom conjunctions are skipped outright: their images are
-/// singletons, which never add members to a merged group and never cut (a
-/// fact is aligned with itself), so they cannot change the output. 2-atom
-/// conjunctions — every dependency body in the scenario suite — go through
-/// the [`sweep_lists`] overlap join, one parallel task per conjunction, with
-/// no store build at all. Wider conjunctions fall back to the generic
-/// backtracking matcher over a replicated [`ShardedFactStore`]: each image's
+/// 2-atom conjunctions — every dependency body in the scenario suite — go
+/// through the [`sweep_lists`] overlap join, one parallel task per
+/// conjunction, with no store build at all; restricted runs over an
+/// indexed `pre` look its candidates up instead of scanning it. Wider
+/// conjunctions fall back to the generic backtracking matcher over a
+/// replicated [`ShardedFactStore`] of the whole lists: each image's
 /// common intersection meets some partition's range, replicas make all of
 /// its facts visible there, and the at-least-one-owner pivot decomposition
 /// keeps long-lived facts from being re-enumerated in every partition they
@@ -356,6 +417,7 @@ pub(crate) fn discover_images(
     conjs: &[&[Atom]],
     threads: usize,
     sopts: SearchOptions,
+    settled: Option<&SettledIndex>,
 ) -> Result<Vec<Vec<FactRef>>> {
     // Images are deduplicated as packed `(rel << 32 | gid)` keys — a pair
     // for the ubiquitous 2-atom bodies, a heap key above — so duplicate
@@ -363,21 +425,9 @@ pub(crate) fn discover_images(
     // allocation.
     let pack = pack_ref;
     let unpack = unpack_ref;
-    let mut specs: Vec<PairSpec> = Vec::new();
-    let mut generic: Vec<&[Atom]> = Vec::new();
-    for &atoms in conjs {
-        if atoms.len() < 2 {
-            continue;
-        }
-        match (atoms.len() == 2)
-            .then(|| PairSpec::compile(atoms, schema))
-            .flatten()
-        {
-            Some(spec) => specs.push(spec),
-            None => generic.push(atoms),
-        }
-    }
-    let swept = sweep_images(pre, delta, fresh, &specs, threads);
+    let (specs, generic) = split_bodies(schema, conjs);
+    let settled = settled.filter(|idx| idx.indexes_bodies(conjs));
+    let swept = sweep_images(pre, delta, fresh, &specs, threads, settled);
     let mut from_matcher: Vec<Result<Vec<Vec<u64>>>> = Vec::new();
     if !generic.is_empty() {
         let sharded =
@@ -463,58 +513,92 @@ pub(crate) fn discover_images(
 /// null splits into unaligned occurrences, and the `(base, interval)`-keyed
 /// egd rewrite would update one sibling but not another. So the facts
 /// connected through shared bases are cut at their common endpoints, which
-/// preserves `⟦·⟧`. Computed globally over the fact lists — a linear pass
-/// plus a union-find, no matching, no store.
+/// preserves `⟦·⟧`.
+///
+/// Only a component holding a fresh fact can need a cut. Every other
+/// component is unchanged since the pass that last aligned it: the lists
+/// enter a fixpoint aligned, a cut fact's fragments are fresh and keep its
+/// bases, and a rewrite only removes members (a subset of an aligned set
+/// is aligned). So components are gathered outward from the fresh facts:
+/// through `settled`'s null-base index over `pre` (a scan of `pre` when it
+/// has none) and a map over `delta` — no union-find over the whole block.
 pub(crate) fn base_align_cuts(
     pre: &FactLists,
     delta: &FactLists,
-    cuts: &mut FxHashMap<(RelId, u32), Vec<TimePoint>>,
+    fresh: &[Vec<bool>],
+    settled: Option<&SettledIndex>,
+    cuts: &mut CutMap,
 ) {
-    // Facts containing nulls, union-found through shared bases.
-    let mut facts: Vec<(RelId, u32, Interval)> = Vec::new();
-    let mut parent: Vec<usize> = Vec::new();
-    let mut owner: FxHashMap<tdx_storage::NullId, usize> = Default::default();
-    for (r, (p, d)) in pre.iter().zip(delta.iter()).enumerate() {
-        let rel = RelId(r as u32);
-        for (gid, fact) in p.iter().chain(d.iter()).enumerate() {
-            let mut entry: Option<usize> = None;
-            for v in fact.data.iter() {
-                if let Value::Null(b) = v {
-                    let i = *entry.get_or_insert_with(|| {
-                        facts.push((rel, gid as u32, fact.interval));
-                        parent.push(facts.len() - 1);
-                        facts.len() - 1
-                    });
-                    match owner.get(b) {
-                        Some(&j) => {
-                            let (ri, rj) = (uf_find(&mut parent, i), uf_find(&mut parent, j));
-                            if ri != rj {
-                                parent[ri] = rj;
-                            }
-                        }
-                        None => {
-                            owner.insert(*b, i);
-                        }
-                    }
+    let by_base = |lists: &FactLists, offset: &dyn Fn(usize) -> usize| {
+        let mut map: FxHashMap<NullId, Vec<FactRef>> = FxHashMap::default();
+        for (r, facts) in lists.iter().enumerate() {
+            for (i, fact) in facts.iter().enumerate() {
+                for b in null_bases(&fact.data) {
+                    let gid = (offset(r) + i) as u32;
+                    map.entry(b).or_default().push((RelId(r as u32), gid));
                 }
             }
         }
+        map
+    };
+    let delta_bases = by_base(delta, &|r| pre[r].len());
+    if delta_bases.is_empty() {
+        return; // no fresh fact holds a null
     }
-    let mut members: FxHashMap<usize, Vec<usize>> = FxHashMap::default();
-    for i in 0..facts.len() {
-        let root = uf_find(&mut parent, i);
-        members.entry(root).or_default().push(i);
-    }
-    for ms in members.values() {
-        if ms.len() < 2 {
-            continue;
-        }
-        let bps = Breakpoints::from_intervals(ms.iter().map(|&i| &facts[i].2));
-        for &i in ms {
-            let (rel, gid, iv) = facts[i];
-            let pts: Vec<TimePoint> = bps.interior_of(&iv).collect();
-            if !pts.is_empty() {
-                cuts.entry((rel, gid)).or_default().extend(pts);
+    let pre_bases = match settled {
+        Some(_) => FxHashMap::default(),
+        None => by_base(pre, &|_| 0),
+    };
+    let holding = |b: NullId| -> Vec<FactRef> {
+        let mut out: Vec<FactRef> = match settled {
+            Some(idx) => idx
+                .with_base(b)
+                .into_iter()
+                .filter(|&(rel, p)| {
+                    pre[rel.0 as usize][p as usize]
+                        .data
+                        .contains(&Value::Null(b))
+                })
+                .collect(),
+            None => pre_bases.get(&b).cloned().unwrap_or_default(),
+        };
+        out.extend(delta_bases.get(&b).into_iter().flatten().copied());
+        out
+    };
+    let mut seen: FxHashSet<u64> = Default::default();
+    let mut seen_bases: FxHashSet<NullId> = Default::default();
+    for (r, facts) in delta.iter().enumerate() {
+        for (i, fact) in facts.iter().enumerate() {
+            let seed = (RelId(r as u32), (pre[r].len() + i) as u32);
+            if !fresh[r][i] || !seen.insert(pack_ref(seed)) {
+                continue;
+            }
+            let mut members = vec![seed];
+            let mut queue: Vec<NullId> = null_bases(&fact.data)
+                .filter(|b| seen_bases.insert(*b))
+                .collect();
+            while let Some(b) = queue.pop() {
+                for f in holding(b) {
+                    if seen.insert(pack_ref(f)) {
+                        members.push(f);
+                        let data = &fact_at(pre, delta, f.0, f.1).data;
+                        queue.extend(null_bases(data).filter(|b| seen_bases.insert(*b)));
+                    }
+                }
+            }
+            if members.len() < 2 {
+                continue;
+            }
+            let ivs: Vec<Interval> = members
+                .iter()
+                .map(|&(rel, gid)| fact_at(pre, delta, rel, gid).interval)
+                .collect();
+            let bps = Breakpoints::from_intervals(ivs.iter());
+            for (&(rel, gid), iv) in members.iter().zip(&ivs) {
+                let pts: Vec<TimePoint> = bps.interior_of(iv).collect();
+                if !pts.is_empty() {
+                    cuts.entry((rel, gid)).or_default().extend(pts);
+                }
             }
         }
     }
@@ -570,78 +654,83 @@ pub(crate) fn image_cuts(
 
 /// Applies one iteration's cuts: cut facts dissolve into their fragments,
 /// fragments join the delta block (they are "changed" for the next round's
-/// matching) and become the next iteration's fresh set. Returns the new
-/// `(pre, delta, fresh)`.
+/// matching) and become the next iteration's fresh set, and a fragment
+/// equal to a fact that stays dissolves into it. Cut settled facts are
+/// deleted from `pre` in place — the survivors keep their order and the
+/// index follows — so the settled block is never copied. Returns the new
+/// `(delta, fresh)`.
 pub(crate) fn apply_cuts(
-    nrels: usize,
+    pre: &mut Settled<'_>,
     cuts: &CutMap,
-    mut pre: FactLists,
     mut delta: FactLists,
-) -> (FactLists, FactLists, Vec<Vec<bool>>) {
-    // Relations without cuts move over wholesale; within a cut relation,
-    // only facts sharing a row with some cut fact can ever collide with a
-    // fragment, so the dedup set tracks exactly those — the rest of the
-    // relation is copied without hashing.
+) -> (FactLists, Vec<Vec<bool>>) {
+    let nrels = delta.len();
     let row_hash = |data: &Row| -> u64 {
         use std::hash::{Hash, Hasher};
         let mut h = tdx_storage::fxhash::FxHasher::default();
         data.hash(&mut h);
         h.finish()
     };
-    let mut cut_rows: Vec<Option<FxHashSet<u64>>> = vec![None; nrels];
+    let mut cut_gids: Vec<Vec<u32>> = vec![Vec::new(); nrels];
     for &(rel, gid) in cuts.keys() {
-        let fact = fact_at(&pre, &delta, rel, gid);
-        cut_rows[rel.0 as usize]
-            .get_or_insert_with(Default::default)
-            .insert(row_hash(&fact.data));
+        cut_gids[rel.0 as usize].push(gid);
     }
-    let mut npre: FactLists = vec![Vec::new(); nrels];
     let mut ndelta: FactLists = vec![Vec::new(); nrels];
     let mut nfresh: Vec<Vec<bool>> = vec![Vec::new(); nrels];
     for r in 0..nrels {
         let rel = RelId(r as u32);
-        let pre_len = pre[r].len();
-        let Some(rows) = &cut_rows[r] else {
-            npre[r] = std::mem::take(&mut pre[r]);
+        let mut gids = std::mem::take(&mut cut_gids[r]);
+        if gids.is_empty() {
             ndelta[r] = std::mem::take(&mut delta[r]);
             nfresh[r] = vec![false; ndelta[r].len()];
             continue;
-        };
+        }
+        gids.sort_unstable();
+        let pre_len = pre.lists[r].len() as u32;
+        let (pre_cut, delta_cut) = gids.split_at(gids.partition_point(|&g| g < pre_len));
+        // Uncut delta facts first, in order. Only those sharing a row with
+        // a cut fact can collide with a fragment, so only they are hashed;
+        // uncut settled facts are found through the index.
+        let cut_rows: FxHashSet<u64> = gids
+            .iter()
+            .map(|&g| row_hash(&fact_at(pre.lists, &delta, rel, g).data))
+            .collect();
         let mut kept: FxHashSet<(Row, Interval)> = Default::default();
-        // Uncut facts first, so a fragment colliding with an existing
-        // fact dissolves into it.
-        for (gid, fact) in pre[r].iter().chain(delta[r].iter()).enumerate() {
-            if cuts.contains_key(&(rel, gid as u32)) {
+        let mut cut_facts: Vec<(TemporalFact, &Vec<TimePoint>)> = pre_cut
+            .iter()
+            .map(|&g| (pre.lists[r][g as usize].clone(), &cuts[&(rel, g)]))
+            .collect();
+        let mut next_cut = delta_cut.iter().peekable();
+        for (i, fact) in std::mem::take(&mut delta[r]).into_iter().enumerate() {
+            let gid = pre_len + i as u32;
+            if next_cut.next_if_eq(&&gid).is_some() {
+                cut_facts.push((fact, &cuts[&(rel, gid)]));
                 continue;
             }
-            if rows.contains(&row_hash(&fact.data))
-                && !kept.insert((Arc::clone(&fact.data), fact.interval))
-            {
-                continue; // duplicate of an already-kept collision candidate
+            if cut_rows.contains(&row_hash(&fact.data)) {
+                kept.insert((Arc::clone(&fact.data), fact.interval));
             }
-            if gid < pre_len {
-                npre[r].push(fact.clone());
-            } else {
-                ndelta[r].push(fact.clone());
-                nfresh[r].push(false);
-            }
+            ndelta[r].push(fact);
+            nfresh[r].push(false);
         }
-        for (gid, fact) in pre[r].iter().chain(delta[r].iter()).enumerate() {
-            if let Some(pts) = cuts.get(&(rel, gid as u32)) {
-                let bps = Breakpoints::from_points(pts.iter().copied());
-                for iv in fragment_interval(&fact.interval, &bps) {
-                    if kept.insert((Arc::clone(&fact.data), iv)) {
-                        ndelta[r].push(TemporalFact {
-                            data: Arc::clone(&fact.data),
-                            interval: iv,
-                        });
-                        nfresh[r].push(true);
-                    }
+        for (fact, pts) in cut_facts {
+            let bps = Breakpoints::from_points(pts.iter().copied());
+            for iv in fragment_interval(&fact.interval, &bps) {
+                let settled_twin = pre
+                    .position_of(rel, &fact.data, iv)
+                    .is_some_and(|p| pre_cut.binary_search(&p).is_err());
+                if !settled_twin && kept.insert((Arc::clone(&fact.data), iv)) {
+                    ndelta[r].push(TemporalFact {
+                        data: Arc::clone(&fact.data),
+                        interval: iv,
+                    });
+                    nfresh[r].push(true);
                 }
             }
         }
+        pre.delete(rel, pre_cut);
     }
-    (npre, ndelta, nfresh)
+    (ndelta, nfresh)
 }
 
 /// Re-fragments the working fact lists to a fixpoint. Per iteration it
@@ -650,8 +739,9 @@ pub(crate) fn apply_cuts(
 /// every endpoint (when `naive`), plus (b) shared-base alignment; applies
 /// them; and stops once no cut remains. Fragments join the delta block
 /// (they are "changed" for the next round's matching) and are the next
-/// iteration's fresh set. `renorm_bodies = None` applies the alignment cuts
-/// only (paper-faithful rounds).
+/// iteration's fresh set; cut settled facts leave `pre` in place.
+/// `renorm_bodies = None` applies the alignment cuts only (paper-faithful
+/// rounds). Returns the final delta block.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn refragment_lists(
     schema: &Arc<Schema>,
@@ -660,81 +750,113 @@ pub(crate) fn refragment_lists(
     sopts: SearchOptions,
     renorm_bodies: Option<&[&[Atom]]>,
     naive: bool,
-    mut pre: FactLists,
+    pre: &mut Settled<'_>,
     mut delta: FactLists,
-) -> Result<(FactLists, FactLists)> {
-    let nrels = schema.len();
+) -> Result<FactLists> {
     let mut fresh: Vec<Vec<bool>> = delta.iter().map(|d| vec![true; d.len()]).collect();
     loop {
         let mut cuts = CutMap::default();
+        let (lists, settled) = pre.parts();
         if naive && renorm_bodies.is_some() {
-            naive_cuts(&pre, &delta, &mut cuts);
+            naive_cuts(lists, &delta, &mut cuts);
         } else if let Some(conjs) = renorm_bodies {
             if !conjs.is_empty() {
                 let images = discover_images(
                     schema,
                     tp,
-                    &pre,
+                    lists,
                     &delta,
                     Some(&fresh),
                     conjs,
                     threads,
                     sopts,
+                    settled,
                 )?;
-                image_cuts(&images, &pre, &delta, &mut cuts);
+                image_cuts(&images, lists, &delta, &mut cuts);
             }
         }
-        base_align_cuts(&pre, &delta, &mut cuts);
+        base_align_cuts(lists, &delta, &fresh, settled, &mut cuts);
         if cuts.is_empty() {
-            return Ok((pre, delta));
+            return Ok(delta);
         }
-        (pre, delta, fresh) = apply_cuts(nrels, &cuts, pre, delta);
+        (delta, fresh) = apply_cuts(pre, &cuts, delta);
     }
 }
 
-/// Rewrites every fact through the round's union-find, splitting the result
-/// into unchanged (`pre`) and changed (`delta`) blocks. Facts that become
-/// identical merge (first occurrence wins).
+/// Rewrites the facts the round's union-find changes, splitting the
+/// result: unchanged delta facts settle into `pre` (appended, in order),
+/// and every changed fact leaves its place for the returned delta block,
+/// in `pre ++ delta` order. A changed fact equal to one that stays, or to
+/// an earlier changed one, merges into it. Only a fact holding a merged
+/// null at its own interval can change, so settled facts are found
+/// through the null-base index rather than by visiting the block.
 pub(crate) fn rewrite_values(
-    schema: &Arc<Schema>,
-    pre: &FactLists,
-    delta: &FactLists,
+    pre: &mut Settled<'_>,
+    delta: FactLists,
     uf: &mut AnnotatedUnionFind,
-) -> (FactLists, FactLists) {
-    let nrels = schema.len();
-    let mut npre: FactLists = vec![Vec::new(); nrels];
-    let mut ndelta: FactLists = vec![Vec::new(); nrels];
-    for r in 0..nrels {
-        let mut kept: FxHashSet<(tdx_storage::Row, Interval)> = Default::default();
-        for fact in pre[r].iter().chain(delta[r].iter()) {
-            // Only null-bearing facts can change under the union-find —
-            // everything else keeps its row without re-resolving.
-            let has_null = fact.data.iter().any(|v| matches!(v, Value::Null(_)));
-            let (new_data, changed) = if has_null {
-                let new_data: tdx_storage::Row = fact
-                    .data
-                    .iter()
-                    .map(|v| uf.resolve(v, fact.interval))
-                    .collect();
-                let changed = new_data[..] != fact.data[..];
-                (new_data, changed)
-            } else {
-                (Arc::clone(&fact.data), false)
-            };
-            if kept.insert((Arc::clone(&new_data), fact.interval)) {
-                let out = TemporalFact {
-                    data: new_data,
+) -> FactLists {
+    let nrels = delta.len();
+    let resolve = |uf: &mut AnnotatedUnionFind, fact: &TemporalFact| -> Option<Row> {
+        if !fact.data.iter().any(Value::is_null) {
+            return None;
+        }
+        let new_data: Row = fact
+            .data
+            .iter()
+            .map(|v| uf.resolve(v, fact.interval))
+            .collect();
+        (new_data[..] != fact.data[..]).then_some(new_data)
+    };
+    let mut candidates: Vec<(RelId, u32)> = Vec::new();
+    if let (lists, Some(idx)) = pre.parts() {
+        for (b, iv) in uf.merged_nulls() {
+            candidates.extend(idx.with_base(b).into_iter().filter(|&(rel, p)| {
+                let f = &lists[rel.0 as usize][p as usize];
+                f.interval == iv && f.data.contains(&Value::Null(b))
+            }));
+        }
+    }
+    candidates.sort_unstable();
+    candidates.dedup();
+    let mut changed: FactLists = vec![Vec::new(); nrels];
+    let mut gone: Vec<Vec<u32>> = vec![Vec::new(); nrels];
+    for (rel, p) in candidates {
+        let r = rel.0 as usize;
+        let fact = &pre.lists[r][p as usize];
+        if let Some(data) = resolve(uf, fact) {
+            changed[r].push(TemporalFact {
+                data,
+                interval: fact.interval,
+            });
+            gone[r].push(p);
+        }
+    }
+    for (r, facts) in delta.into_iter().enumerate() {
+        let rel = RelId(r as u32);
+        pre.delete(rel, &std::mem::take(&mut gone[r]));
+        for fact in facts {
+            match resolve(uf, &fact) {
+                Some(data) => changed[r].push(TemporalFact {
+                    data,
                     interval: fact.interval,
-                };
-                if changed {
-                    ndelta[r].push(out);
-                } else {
-                    npre[r].push(out);
-                }
+                }),
+                None => pre.push(rel, fact),
             }
         }
     }
-    (npre, ndelta)
+    let mut ndelta: FactLists = vec![Vec::new(); nrels];
+    for (r, facts) in changed.into_iter().enumerate() {
+        let rel = RelId(r as u32);
+        let mut kept: FxHashSet<(Row, Interval)> = Default::default();
+        for fact in facts {
+            if !pre.contains(rel, &fact.data, fact.interval)
+                && kept.insert((Arc::clone(&fact.data), fact.interval))
+            {
+                ndelta[r].push(fact);
+            }
+        }
+    }
+    ndelta
 }
 
 #[cfg(test)]

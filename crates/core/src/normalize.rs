@@ -27,6 +27,7 @@
 //! each other.
 
 use crate::chase::partitioned::{apply_cuts, discover_images, image_cuts, CutMap, FactLists};
+use crate::chase::settled::{LazyIndex, Settled};
 use crate::error::Result;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -162,7 +163,7 @@ pub fn merge_image_sets(sets: &[Vec<FactRef>]) -> Vec<BTreeSet<FactRef>> {
 /// preserves `⟦·⟧`; null bases are kept, so the fragments of an annotated
 /// null `N^[s,e)` still denote the family `⟨N_s, …, N_{e−1}⟩`).
 ///
-/// Runs the list kernel in one pass: every fact is settled (`pre`), all
+/// Runs the list kernel in one pass: every fact is in the delta block, all
 /// images are discovered over the whole timeline, and the cuts are applied
 /// once — Algorithm 1 fragments the input's groups, with no fixpoint. The
 /// output equals [`normalize_with`]'s as a set; fact order may differ.
@@ -174,10 +175,10 @@ pub fn normalize(ic: &TemporalInstance, conjunctions: &[&[Atom]]) -> Result<Temp
         check_conjunction(atoms, &schema)?;
     }
     let nrels = schema.len();
-    let pre: FactLists = (0..nrels)
+    let delta: FactLists = (0..nrels)
         .map(|r| ic.facts(RelId(r as u32)).to_vec())
         .collect();
-    let delta: FactLists = vec![Vec::new(); nrels];
+    let mut pre: FactLists = vec![Vec::new(); nrels];
     let images = discover_images(
         &schema,
         &TimelinePartition::whole(),
@@ -187,14 +188,16 @@ pub fn normalize(ic: &TemporalInstance, conjunctions: &[&[Atom]]) -> Result<Temp
         conjunctions,
         1,
         SearchOptions::default(),
+        None,
     )?;
     let mut cuts = CutMap::default();
     image_cuts(&images, &pre, &delta, &mut cuts);
-    let (pre, delta, _) = apply_cuts(nrels, &cuts, pre, delta);
+    let mut no_index = LazyIndex::default();
+    let mut empty = Settled::new(&mut pre, &mut no_index, &schema, conjunctions);
+    let (delta, _) = apply_cuts(&mut empty, &cuts, delta);
     let mut out = TemporalInstance::new(schema);
-    for (r, (p, d)) in pre.iter().zip(&delta).enumerate() {
-        out.extend(RelId(r as u32), p);
-        out.extend(RelId(r as u32), d);
+    for (r, facts) in delta.iter().enumerate() {
+        out.extend(RelId(r as u32), facts);
     }
     Ok(out)
 }

@@ -4,9 +4,17 @@
 //! `(Row, Interval)` tuples of a few machine words — millions of times per
 //! chase. SipHash's per-instance initialization and per-round cost dominate
 //! those operations; the multiply-xor folding below (the rustc `FxHasher`
-//! scheme) is 3-10× cheaper on such keys. The maps are process-internal and
-//! never exposed to untrusted keys, so HashDoS resistance is not a concern
-//! here.
+//! scheme) is 3-10× cheaper on such keys.
+//!
+//! The keys are *not* trusted: fact values come straight from `.facts`
+//! files, batches and wire frames. The multiply keeps every bit of a
+//! word's hash a function of that word's *lower* bits only, so keys that
+//! differ only in their high bits (integers `k · 2^40`, say) would agree
+//! in the low bits a hash table indexes by, and every such key would land
+//! in one probe chain. [`FxHasher::finish`] therefore rotates the state
+//! (as rustc-hash 2 does), folding the well-mixed high bits into the low
+//! ones. This is no defence against a deliberate HashDoS — the seed is
+//! fixed — but natural data with high-bit structure spreads evenly.
 
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -32,12 +40,20 @@ impl FxHasher {
     fn add(&mut self, word: u64) {
         self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(SEED);
     }
+
+    /// The unrotated multiply-xor state: the digest persisted state
+    /// fingerprints were recorded with before [`finish`](Hasher::finish)
+    /// gained its rotation, kept so those fingerprints stay valid.
+    #[inline]
+    pub fn finish_unrotated(&self) -> u64 {
+        self.hash
+    }
 }
 
 impl Hasher for FxHasher {
     #[inline]
     fn finish(&self) -> u64 {
-        self.hash
+        self.hash.rotate_left(26)
     }
 
     #[inline]
@@ -103,5 +119,36 @@ mod tests {
             })
             .collect();
         assert_eq!(hashes.len(), 1024);
+    }
+
+    #[test]
+    fn high_bit_keys_spread_over_the_low_bits() {
+        // Integers that differ only above bit 40 (`k << 40`) must still
+        // spread over the low bits a table indexes by. Without the
+        // rotation every such key shares its low 40 bits; with it, the
+        // low 12 bits carry 10 bits of `k`.
+        let low12 = |tag: Option<u8>, k: u64, rotated: bool| {
+            let mut h = FxHasher::default();
+            if let Some(t) = tag {
+                h.write_u8(t); // the shape of an enum-tagged value
+            }
+            h.write_u64(k << 40);
+            let hash = if rotated {
+                h.finish()
+            } else {
+                h.finish_unrotated()
+            };
+            hash & 0xfff
+        };
+        for tag in [None, Some(1)] {
+            let spread = |rotated: bool| {
+                (0..4096u64)
+                    .map(|k| low12(tag, k, rotated))
+                    .collect::<std::collections::BTreeSet<u64>>()
+                    .len()
+            };
+            assert_eq!(spread(false), 1, "unrotated, every key collides");
+            assert!(spread(true) >= 1024, "{} low-bit buckets", spread(true));
+        }
     }
 }

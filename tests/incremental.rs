@@ -186,3 +186,31 @@ proptest! {
         prop_assert!(replay_checked(&stream, &ChaseOptions::default()).is_some());
     }
 }
+
+/// A batch that re-fragments a settled source fact must not re-fire an
+/// existential tgd on fragments its earlier step already covers. With
+/// `E(Ada, IBM) @ [0, 10)` settled, the batch `S(Ada, 18k) @ [4, 10)`
+/// cuts the E fact at 4: st2 fires on `[4, 10)`, and st1's restricted
+/// check on `[0, 4)` and `[4, 10)` is answered by its `[0, 10)` memo
+/// entry, which covers both. So the batch fires one step and the session
+/// mints no second null.
+#[test]
+fn covering_memo_keeps_refragmented_steps_from_refiring() {
+    let text = std::fs::read_to_string("examples/data/paper.map").unwrap();
+    let mapping = tdx::parse_mapping(&text).unwrap();
+    let exchange = tdx::core::exchange::DataExchange::new(mapping.clone());
+    let load = |facts: &str| exchange.load_source(facts).unwrap();
+    let base = load("E(Ada, IBM) @ [0, 10)");
+    let batch = load("S(Ada, 18k) @ [4, 10)");
+    for opts in [ChaseOptions::default(), ChaseOptions::distributed(1)] {
+        let mut session = IncrementalExchange::with_options(mapping.clone(), opts).unwrap();
+        let mut accumulated = base.clone();
+        session.apply(&DeltaBatch::from_instance(&base)).unwrap();
+        check_against_abstract_chase(&accumulated, &mapping, Ok(&session.target())).unwrap();
+        let stats = session.apply(&DeltaBatch::from_instance(&batch)).unwrap();
+        accumulated = accumulated.clone_with(&batch);
+        check_against_abstract_chase(&accumulated, &mapping, Ok(&session.target())).unwrap();
+        assert_eq!(stats.tgd_steps, 1, "only st2 fires: {stats:?}");
+        assert_eq!(session.stats().nulls_created, 1, "no second null");
+    }
+}
