@@ -21,7 +21,12 @@
 //!    [`refragment_lists`] fixpoint the egd rounds use too:
 //!    Algorithm-1 cut discovery restricted to images touching a
 //!    *fresh* fact, so long-settled source facts are only re-fragmented
-//!    when a new fact actually joins them.
+//!    when a new fact actually joins them. The settled lists are edited
+//!    in place beside their [`SettledIndex`]es, which answer every
+//!    "which settled facts does this touch?" by lookup, so an insert
+//!    costs the batch and the facts it touches, not the state.
+//!
+//!    [`SettledIndex`]: crate::chase::settled::SettledIndex
 //! 2. **Delta-scoped tgd matching.** A [`TemporalMode::Shared`] match binds
 //!    every body atom to one interval, so new matches can only exist at
 //!    *dirty intervals* — intervals carrying at least one changed fact.
@@ -33,12 +38,13 @@
 //!    on the fast path.
 //! 3. **Restricted checks across batches.** "Has this hom an extension into
 //!    the target?" must consult everything previous batches produced. The
-//!    session keeps the coordinator kernel's per-tgd memo sets *persistent*:
-//!    a memo entry `(determined values, interval)` records that a covering
-//!    head fact was inserted, and neither egd rewriting (values only get
-//!    more specific) nor re-fragmentation (fragments cover their original)
-//!    can ever invalidate that coverage — so a memo hit stays a sound
-//!    reason to suppress the step in every later batch.
+//!    session keeps the coordinator kernel's per-tgd memo tables
+//!    *persistent*: an entry `(determined values, interval)` records that a
+//!    covering head fact was inserted, and neither egd rewriting (values
+//!    only get more specific) nor re-fragmentation (fragments cover their
+//!    original) can ever invalidate that coverage — so an entry whose
+//!    interval covers a step's stays a sound reason to suppress the step
+//!    in every later batch.
 //! 4. **Egd fixpoint over the boundary-reconciliation set.** New target
 //!    facts plus every settled fact they forced to fragment form the delta
 //!    block; egd matching is again dirty-interval scoped and
@@ -1582,10 +1588,11 @@ impl IncrementalExchange {
 
     /// Drops **every** piece of state derived from the pre-rebuild source,
     /// in one place so a rebuild can never leak stale derived state:
-    /// normalized-source and target lists, the persistent restricted-check
-    /// memos (a memo entry records coverage by a target fact that a
-    /// narrowing refine may have removed — a stale entry would wrongly
-    /// suppress tgd steps in later batches; see the
+    /// normalized-source and target lists with their settled indexes
+    /// (rebuilt lazily by the first absorb that needs them), the
+    /// persistent restricted-check memos (a memo entry records coverage by
+    /// a target fact that a narrowing refine may have removed — a stale
+    /// entry would wrongly suppress tgd steps in later batches; see the
     /// `narrowing_then_insert_*` regression tests), the null generator,
     /// the endpoint histogram, the timeline partition, and the
     /// partition-server cluster (the fresh partition forces a respawn).

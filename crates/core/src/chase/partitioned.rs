@@ -549,36 +549,35 @@ pub(crate) fn base_align_cuts(
         Some(_) => FxHashMap::default(),
         None => by_base(pre, &|_| 0),
     };
-    let holding = |b: NullId| -> Vec<FactRef> {
-        let mut out: Vec<FactRef> = match settled {
-            Some(idx) => idx
-                .with_base(b)
-                .into_iter()
-                .filter(|&(rel, p)| {
-                    pre[rel.0 as usize][p as usize]
-                        .data
-                        .contains(&Value::Null(b))
-                })
-                .collect(),
-            None => pre_bases.get(&b).cloned().unwrap_or_default(),
-        };
+    // The facts holding base `b`, settled ones first.
+    let holding = |b: NullId, out: &mut Vec<FactRef>| {
+        out.clear();
+        match settled {
+            Some(idx) => out.extend(idx.with_base(b).into_iter().filter(|&(rel, p)| {
+                pre[rel.0 as usize][p as usize]
+                    .data
+                    .contains(&Value::Null(b))
+            })),
+            None => out.extend(pre_bases.get(&b).into_iter().flatten().copied()),
+        }
         out.extend(delta_bases.get(&b).into_iter().flatten().copied());
-        out
     };
     let mut seen: FxHashSet<u64> = Default::default();
     let mut seen_bases: FxHashSet<NullId> = Default::default();
+    let (mut members, mut queue, mut holders) = (Vec::new(), Vec::new(), Vec::new());
     for (r, facts) in delta.iter().enumerate() {
         for (i, fact) in facts.iter().enumerate() {
             let seed = (RelId(r as u32), (pre[r].len() + i) as u32);
             if !fresh[r][i] || !seen.insert(pack_ref(seed)) {
                 continue;
             }
-            let mut members = vec![seed];
-            let mut queue: Vec<NullId> = null_bases(&fact.data)
-                .filter(|b| seen_bases.insert(*b))
-                .collect();
+            members.clear();
+            members.push(seed);
+            queue.clear();
+            queue.extend(null_bases(&fact.data).filter(|b| seen_bases.insert(*b)));
             while let Some(b) = queue.pop() {
-                for f in holding(b) {
+                holding(b, &mut holders);
+                for &f in &holders {
                     if seen.insert(pack_ref(f)) {
                         members.push(f);
                         let data = &fact_at(pre, delta, f.0, f.1).data;
