@@ -39,52 +39,82 @@ use tdx_storage::fxhash::{FxHashMap, FxHasher};
 use tdx_storage::{NullId, TemporalFact, Value};
 use tdx_temporal::Interval;
 
-/// The slots sharing one key hash: almost always one.
-#[derive(Clone)]
-enum Bucket {
-    One(u32),
-    Many(Vec<u32>),
+/// One key map: key hash → the slots under it. Almost every key holds
+/// one slot, stored inline; a key holding more points (tag bit set) into
+/// `spill`. An entry costs 12 bytes plus the table's overhead.
+#[derive(Default)]
+struct KeyMap {
+    map: FxHashMap<u64, u32>,
+    spill: Vec<Vec<u32>>,
+    /// Emptied `spill` lists, for reuse.
+    free: Vec<u32>,
 }
 
-impl Bucket {
-    fn slots(&self) -> &[u32] {
-        match self {
-            Bucket::One(s) => std::slice::from_ref(s),
-            Bucket::Many(v) => v,
+/// Marks a [`KeyMap`] value as a `spill` index.
+const SPILLED: u32 = 1 << 31;
+
+impl KeyMap {
+    fn with_capacity(n: usize) -> KeyMap {
+        KeyMap {
+            map: FxHashMap::with_capacity_and_hasher(n, Default::default()),
+            ..KeyMap::default()
         }
     }
-}
 
-type KeyMap = FxHashMap<u64, Bucket>;
-
-fn bucket_insert(map: &mut KeyMap, key: u64, slot: u32) {
-    match map.get_mut(&key) {
-        None => {
-            map.insert(key, Bucket::One(slot));
+    fn insert(&mut self, key: u64, slot: u32) {
+        use std::collections::hash_map::Entry;
+        debug_assert!(slot < SPILLED, "slot space exhausted");
+        match self.map.entry(key) {
+            Entry::Vacant(e) => {
+                e.insert(slot);
+            }
+            Entry::Occupied(mut e) if *e.get() & SPILLED != 0 => {
+                self.spill[(*e.get_mut() & !SPILLED) as usize].push(slot);
+            }
+            Entry::Occupied(mut e) => {
+                let both = vec![*e.get(), slot];
+                let at = match self.free.pop() {
+                    Some(at) => {
+                        self.spill[at as usize] = both;
+                        at
+                    }
+                    None => {
+                        self.spill.push(both);
+                        (self.spill.len() - 1) as u32
+                    }
+                };
+                *e.get_mut() = at | SPILLED;
+            }
         }
-        Some(b) => match b {
-            Bucket::One(s) => *b = Bucket::Many(vec![*s, slot]),
-            Bucket::Many(v) => v.push(slot),
-        },
     }
-}
 
-fn bucket_remove(map: &mut KeyMap, key: u64, slot: u32) {
-    let emptied = match map.get_mut(&key) {
-        None => false,
-        Some(Bucket::One(s)) => *s == slot,
-        Some(Bucket::Many(v)) => {
-            v.retain(|&s| s != slot);
-            v.is_empty()
+    fn remove(&mut self, key: u64, slot: u32) {
+        let Some(v) = self.map.get_mut(&key) else {
+            return;
+        };
+        if *v & SPILLED == 0 {
+            if *v == slot {
+                self.map.remove(&key);
+            }
+            return;
         }
-    };
-    if emptied {
-        map.remove(&key);
+        let at = *v & !SPILLED;
+        let list = &mut self.spill[at as usize];
+        list.retain(|&s| s != slot);
+        if let [only] = list[..] {
+            *v = only;
+            list.clear();
+            self.free.push(at);
+        }
     }
-}
 
-fn bucket_get(map: &KeyMap, key: u64) -> &[u32] {
-    map.get(&key).map_or(&[], Bucket::slots)
+    fn get(&self, key: u64) -> &[u32] {
+        match self.map.get(&key) {
+            None => &[],
+            Some(v) if *v & SPILLED != 0 => &self.spill[(*v & !SPILLED) as usize],
+            Some(v) => std::slice::from_ref(v),
+        }
+    }
 }
 
 /// The exact key of a fact.
@@ -175,7 +205,7 @@ impl SettledIndex {
     fn build(schema: &Schema, bodies: &[&[Atom]], lists: &FactLists) -> SettledIndex {
         let (specs, _) = split_bodies(schema, bodies);
         let n: usize = lists.iter().map(Vec::len).sum();
-        let map = || KeyMap::with_capacity_and_hasher(n, Default::default());
+        let map = || KeyMap::with_capacity(n);
         let mut idx = SettledIndex {
             bodies: bodies.iter().map(|b| b.to_vec()).collect(),
             symmetric: specs.iter().map(PairSpec::is_symmetric).collect(),
@@ -216,7 +246,7 @@ impl SettledIndex {
         self.slot_at[r].push(slot);
         self.maps
             .each_key(&self.specs, &self.symmetric, rel, fact, |map, key| {
-                bucket_insert(map, key, slot)
+                map.insert(key, slot)
             });
     }
 
@@ -226,7 +256,7 @@ impl SettledIndex {
         let slot = self.slot_at[rel.0 as usize][pos as usize];
         self.maps
             .each_key(&self.specs, &self.symmetric, rel, fact, |map, key| {
-                bucket_remove(map, key, slot)
+                map.remove(key, slot)
             });
         self.slots[slot as usize].1 = DEAD;
         self.dead += 1;
@@ -265,7 +295,7 @@ impl SettledIndex {
     /// Positions in `rel` whose fact may sit at interval `iv` (ascending;
     /// verify against the fact).
     pub(crate) fn at_interval(&self, rel: RelId, iv: Interval) -> Vec<u32> {
-        let slots = bucket_get(&self.maps.by_interval, interval_key(rel, iv));
+        let slots = self.maps.by_interval.get(interval_key(rel, iv));
         self.positions(slots, Some(rel))
             .into_iter()
             .map(|(_, p)| p)
@@ -274,7 +304,7 @@ impl SettledIndex {
 
     /// Facts that may contain null base `b` (ascending; verify).
     pub(crate) fn with_base(&self, b: NullId) -> Vec<(RelId, u32)> {
-        self.positions(bucket_get(&self.maps.by_base, base_key(b)), None)
+        self.positions(self.maps.by_base.get(base_key(b)), None)
     }
 
     /// Positions on side `side` of sweep spec `spec` whose join key
@@ -282,7 +312,7 @@ impl SettledIndex {
     pub(crate) fn join_partners(&self, spec: usize, side: usize, key: u64) -> Vec<u32> {
         let rel = self.specs[spec].rels[side];
         let side = if self.symmetric[spec] { 0 } else { side };
-        self.positions(bucket_get(&self.maps.joins[spec][side], key), Some(rel))
+        self.positions(self.maps.joins[spec][side].get(key), Some(rel))
             .into_iter()
             .map(|(_, p)| p)
             .collect()
@@ -290,10 +320,7 @@ impl SettledIndex {
 
     /// Positions in `rel` whose fact may equal `(data, iv)` (verify).
     fn exact_candidates(&self, rel: RelId, data: &[Value], iv: Interval) -> Vec<(RelId, u32)> {
-        self.positions(
-            bucket_get(&self.maps.exact, exact_key(rel, data, iv)),
-            Some(rel),
-        )
+        self.positions(self.maps.exact.get(exact_key(rel, data, iv)), Some(rel))
     }
 }
 
@@ -468,6 +495,27 @@ mod tests {
         let rebuilt = SettledIndex::build(&schema, &bodies, &lists);
         assert_eq!(probes(&rebuilt), maintained);
         assert_eq!(lists[0].len(), 4);
+    }
+
+    #[test]
+    fn key_maps_spill_and_unspill() {
+        let mut m = KeyMap::default();
+        for slot in [3, 5, 7] {
+            m.insert(1, slot);
+        }
+        m.insert(2, 9);
+        assert_eq!(m.get(1), &[3, 5, 7]);
+        m.remove(1, 5);
+        m.remove(1, 3);
+        assert_eq!(m.get(1), &[7]);
+        assert_eq!(m.free.len(), 1, "a list down to one slot goes back inline");
+        m.insert(2, 4);
+        assert_eq!(m.get(2), &[9, 4]);
+        assert_eq!(m.spill.len(), 1, "the freed list is reused");
+        m.remove(1, 7);
+        m.remove(2, 9);
+        m.remove(2, 4);
+        assert!(m.get(1).is_empty() && m.get(2).is_empty());
     }
 
     #[test]
