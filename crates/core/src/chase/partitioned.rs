@@ -520,8 +520,8 @@ pub(crate) fn discover_images(
 /// enter a fixpoint aligned, a cut fact's fragments are fresh and keep its
 /// bases, and a rewrite only removes members (a subset of an aligned set
 /// is aligned). So components are gathered outward from the fresh facts:
-/// through `settled`'s null-base index over `pre` (a scan of `pre` when it
-/// has none) and a map over `delta` — no union-find over the whole block.
+/// through `settled`'s null-base index over `pre` (`None` only when `pre`
+/// is empty) and a map over `delta` — no union-find over the whole block.
 pub(crate) fn base_align_cuts(
     pre: &FactLists,
     delta: &FactLists,
@@ -529,36 +529,31 @@ pub(crate) fn base_align_cuts(
     settled: Option<&SettledIndex>,
     cuts: &mut CutMap,
 ) {
-    let by_base = |lists: &FactLists, offset: &dyn Fn(usize) -> usize| {
-        let mut map: FxHashMap<NullId, Vec<FactRef>> = FxHashMap::default();
-        for (r, facts) in lists.iter().enumerate() {
-            for (i, fact) in facts.iter().enumerate() {
-                for b in null_bases(&fact.data) {
-                    let gid = (offset(r) + i) as u32;
-                    map.entry(b).or_default().push((RelId(r as u32), gid));
-                }
+    debug_assert!(settled.is_some() || pre.iter().all(Vec::is_empty));
+    let mut delta_bases: FxHashMap<NullId, Vec<FactRef>> = FxHashMap::default();
+    for (r, facts) in delta.iter().enumerate() {
+        for (i, fact) in facts.iter().enumerate() {
+            let gid = (pre[r].len() + i) as u32;
+            for b in null_bases(&fact.data) {
+                delta_bases
+                    .entry(b)
+                    .or_default()
+                    .push((RelId(r as u32), gid));
             }
         }
-        map
-    };
-    let delta_bases = by_base(delta, &|r| pre[r].len());
+    }
     if delta_bases.is_empty() {
         return; // no fresh fact holds a null
     }
-    let pre_bases = match settled {
-        Some(_) => FxHashMap::default(),
-        None => by_base(pre, &|_| 0),
-    };
     // The facts holding base `b`, settled ones first.
     let holding = |b: NullId, out: &mut Vec<FactRef>| {
         out.clear();
-        match settled {
-            Some(idx) => out.extend(idx.with_base(b).into_iter().filter(|&(rel, p)| {
+        if let Some(idx) = settled {
+            out.extend(idx.with_base(b).into_iter().filter(|&(rel, p)| {
                 pre[rel.0 as usize][p as usize]
                     .data
                     .contains(&Value::Null(b))
-            })),
-            None => out.extend(pre_bases.get(&b).into_iter().flatten().copied()),
+            }));
         }
         out.extend(delta_bases.get(&b).into_iter().flatten().copied());
     };

@@ -118,7 +118,7 @@ impl KeyMap {
 }
 
 /// The exact key of a fact.
-pub(crate) fn exact_key(rel: RelId, data: &[Value], iv: Interval) -> u64 {
+fn exact_key(rel: RelId, data: &[Value], iv: Interval) -> u64 {
     let mut h = FxHasher::default();
     h.write_u32(rel.0);
     data.hash(&mut h);
