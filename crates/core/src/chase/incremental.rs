@@ -22,11 +22,9 @@
 //!    Algorithm-1 cut discovery restricted to images touching a
 //!    *fresh* fact, so long-settled source facts are only re-fragmented
 //!    when a new fact actually joins them. The settled lists are edited
-//!    in place beside their [`SettledIndex`]es, which answer every
-//!    "which settled facts does this touch?" by lookup, so an insert
-//!    costs the batch and the facts it touches, not the state.
-//!
-//!    [`SettledIndex`]: crate::chase::settled::SettledIndex
+//!    in place beside their indexes (`chase::settled`), which answer
+//!    every "which settled facts does this touch?" by lookup, so an
+//!    insert costs the batch and the facts it touches, not the state.
 //! 2. **Delta-scoped tgd matching.** A [`TemporalMode::Shared`] match binds
 //!    every body atom to one interval, so new matches can only exist at
 //!    *dirty intervals* — intervals carrying at least one changed fact.

@@ -8,7 +8,10 @@
 //! so the concrete timeline decomposes into independent slices the same way
 //! the abstract chase decomposes into epochs. The kernels here work on
 //! per-relation fact lists split into a settled `pre` block and a changed
-//! `delta` block:
+//! `delta` block. `pre` is edited in place through [`Settled`], whose
+//! index answers "which settled facts does this fresh one touch?" by
+//! lookup (`chase/settled.rs`), so a pass costs the delta and what it
+//! touches:
 //!
 //! * **Algorithm-1 discovery** ([`discover_images`]): 2-atom conjunctions
 //!   run the [`sweep_lists`] overlap join, one parallel task per
@@ -18,11 +21,12 @@
 //!   breakpoints so every overlap image is visible inside one partition;
 //! * **re-fragmentation to a fixpoint** ([`refragment_lists`]): discovered
 //!   groups plus shared-null alignment become per-fact cuts
-//!   ([`image_cuts`], [`base_align_cuts`]) applied by [`apply_cuts`];
-//!   fragments join the delta block, so the next pass visits only what
-//!   changed;
-//! * **the egd rewrite** ([`rewrite_values`]): facts go through the round's
-//!   union-find, unchanged ones to `pre` and changed ones to `delta` — the
+//!   ([`image_cuts`], [`base_align_cuts`]) applied by [`apply_cuts`]; a
+//!   cut settled fact leaves `pre` in place and its fragments join the
+//!   delta block, so the next pass visits only what changed;
+//! * **the egd rewrite** ([`rewrite_values`]): the facts holding a merged
+//!   null go through the round's union-find; unchanged delta facts settle
+//!   into `pre` and changed ones form the new `delta` — the
 //!   delta-restricted (semi-naive) split the next egd round joins against.
 //!
 //! Work fans out through [`run_tasks`], which merges in task order, so
