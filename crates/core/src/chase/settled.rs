@@ -269,13 +269,7 @@ impl SettledIndex {
             return;
         };
         let r = rel.0 as usize;
-        let mut gone = removed.iter().peekable();
-        let mut pos = 0u32;
-        self.slot_at[r].retain(|_| {
-            let keep = gone.next_if_eq(&&pos).is_none();
-            pos += 1;
-            keep
-        });
+        remove_positions(&mut self.slot_at[r], removed);
         for (p, &slot) in self.slot_at[r].iter().enumerate().skip(first as usize) {
             self.slots[slot as usize].1 = p as u32;
         }
@@ -427,14 +421,20 @@ impl<'a> Settled<'a> {
             }
             idx.compact(rel, positions);
         }
-        let mut gone = positions.iter().peekable();
-        let mut pos = 0u32;
-        list.retain(|_| {
-            let keep = gone.next_if_eq(&&pos).is_none();
-            pos += 1;
-            keep
-        });
+        remove_positions(list, positions);
     }
+}
+
+/// Removes the entries at `positions` (ascending, distinct), keeping the
+/// rest in order.
+fn remove_positions<T>(v: &mut Vec<T>, positions: &[u32]) {
+    let mut gone = positions.iter().peekable();
+    let mut pos = 0u32;
+    v.retain(|_| {
+        let keep = gone.next_if_eq(&&pos).is_none();
+        pos += 1;
+        keep
+    });
 }
 
 #[cfg(test)]
