@@ -370,34 +370,39 @@ fn main() {
         );
     }
 
-    // Insert-commit scaling gate (same-run, like the scaling gate): a
-    // 4-fact insert into a 200-person session may cost at most twice the
-    // same insert into a 50-person one. A commit that visits the whole
-    // settled state grows with it (≈6× here); one proportional to the
-    // batch stays flat up to the indexes' own costs.
-    const INSERT4_GATE: f64 = 2.0;
-    {
+    // Commit scaling gates (same-run, like the scaling gate): a 4-fact
+    // insert, and a narrowing refine, into a 200-person session may cost
+    // at most twice the same commit into a 50-person one. A commit that
+    // visits the whole settled state grows with it (≈6× for the insert,
+    // ≈4× for a refine that re-chases everything); one proportional to
+    // the batch, or to the refined person's component, stays flat up to
+    // the indexes' own costs.
+    const COMMIT_GATE: f64 = 2.0;
+    for (row, what) in [
+        ("insert4", "NOT PROPORTIONAL TO THE BATCH"),
+        ("refine", "NOT PROPORTIONAL TO THE COMPONENT"),
+    ] {
         let [small, large] = tdx_bench::incremental_suite::INSERT4_PERSONS;
         let median = |persons: usize| {
             let id = format!(
-                "{}/employment/insert4/{persons}",
+                "{}/employment/{row}/{persons}",
                 tdx_bench::incremental_suite::GROUP
             );
             fresh.iter().find(|r| r.id == id).map(|r| r.median_ns)
         };
         if let (Some(t_small), Some(t_large)) = (median(small), median(large)) {
             let ratio = t_large / t_small;
-            let verdict = if ratio > INSERT4_GATE {
+            let verdict = if ratio > COMMIT_GATE {
                 scaling_failed.push(format!(
-                    "{}/employment/insert4/{large} runs at {ratio:.3}x of the same-run \
-                     insert4/{small} row (insert scaling gate {INSERT4_GATE:.1}x)",
+                    "{}/employment/{row}/{large} runs at {ratio:.3}x of the same-run \
+                     {row}/{small} row (scaling gate {COMMIT_GATE:.1}x)",
                     tdx_bench::incremental_suite::GROUP
                 ));
-                "NOT PROPORTIONAL TO THE BATCH"
+                what
             } else {
                 "ok"
             };
-            println!("  scaling insert4 {large} vs {small} persons {ratio:6.3}x  [{verdict}]");
+            println!("  scaling {row:7} {large} vs {small} persons {ratio:6.3}x  [{verdict}]");
         }
     }
 

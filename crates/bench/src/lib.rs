@@ -526,15 +526,17 @@ pub mod incremental_suite {
     use std::sync::{Arc, Mutex};
     use tdx_core::{c_chase_with, ChaseOptions, DeltaBatch, IncrementalExchange};
     use tdx_workload::{
-        employment_stream, late_salary_stream, nested_stream, sparse_stream, BatchOrder,
-        ClusteredConfig, DeltaStream, EmploymentConfig, StreamConfig,
+        employment_stream, late_salary_stream, nested_stream, sparse_stream,
+        with_narrowing_refines, BatchOrder, ClusteredConfig, DeltaStream, EmploymentConfig,
+        StreamConfig, StreamStep,
     };
 
     /// The group prefix every case id lives under.
     pub const GROUP: &str = "c_chase/incremental";
 
-    /// Session sizes of the `employment/insert4/<persons>` rows, smallest
-    /// first; `bench_check` gates the largest against the smallest.
+    /// Session sizes of the `employment/insert4/<persons>` and
+    /// `employment/refine/<persons>` rows, smallest first; `bench_check`
+    /// gates the largest against the smallest.
     pub const INSERT4_PERSONS: [usize; 2] = [50, 200];
 
     /// The `insert4` stream: the tdxbench `ingest` source shape (12
@@ -606,7 +608,17 @@ pub mod incremental_suite {
     ///   clone rebuilds its settled indexes on the next absorb: one
     ///   rebuild per `persons` runs is part of the row, the same share at
     ///   either size. An insert that cost the whole session would make
-    ///   the 200 row ≈4× the 50 row.
+    ///   the 200 row ≈4× the 50 row;
+    /// * `employment/refine/<persons>` — one narrowing refine (an
+    ///   open-ended job closed to 1–3 points, drawn by
+    ///   [`with_narrowing_refines`]) into one long-lived session holding
+    ///   the whole `insert4` source: the `ingest` refine commit, without
+    ///   the WAL. After the last refine the session restarts from the
+    ///   seeded one, so one index rebuild per cycle is part of the row;
+    ///   open jobs grow with the persons, so the share is the same at
+    ///   either size. A refine that re-chased the whole state
+    ///   (`from_scratch/100` prices that) would make the 200 row ≈4× the
+    ///   50 row.
     pub fn cases() -> Vec<Case> {
         let mut out: Vec<Case> = Vec::new();
         for persons in INSERT4_PERSONS {
@@ -632,6 +644,47 @@ pub mod incremental_suite {
                         *next = 0;
                     }
                     session.apply(&batches[*next]).unwrap();
+                    *next += 1;
+                }),
+            });
+        }
+        for persons in INSERT4_PERSONS {
+            let stream = insert4(persons);
+            let e = stream
+                .mapping
+                .source()
+                .rel_id("E".into())
+                .expect("employment source has E");
+            let refines: Vec<DeltaBatch> = with_narrowing_refines(&stream, e, 1, 3)
+                .into_iter()
+                .filter_map(|step| match step {
+                    StreamStep::Refine(rel, data, iv) => {
+                        let mut b = DeltaBatch::new();
+                        b.refine(rel, data, iv);
+                        Some(b)
+                    }
+                    StreamStep::Insert(_) => None,
+                })
+                .collect();
+            let mut seeded =
+                IncrementalExchange::new(stream.mapping.clone()).expect("valid scenario mapping");
+            seeded
+                .apply(&DeltaBatch::from_instance(&stream.union()))
+                .expect("consistent source");
+            // The first refine builds the settled indexes (see insert4).
+            let mut warm = seeded.clone();
+            warm.apply(&refines[0]).expect("consistent refine");
+            let state = Mutex::new((warm, 1usize));
+            out.push(Case {
+                id: format!("employment/refine/{persons}"),
+                run: Box::new(move || {
+                    let mut guard = state.lock().unwrap_or_else(|e| e.into_inner());
+                    let (session, next) = &mut *guard;
+                    if *next == refines.len() {
+                        *session = seeded.clone();
+                        *next = 0;
+                    }
+                    session.apply(&refines[*next]).unwrap();
                     *next += 1;
                 }),
             });

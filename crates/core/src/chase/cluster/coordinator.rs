@@ -112,12 +112,29 @@ pub(crate) struct MemoTable {
 
 impl MemoTable {
     /// Records that a head fact with determined values `key` holds over
-    /// `iv`.
-    pub(crate) fn insert(&mut self, key: Vec<Value>, iv: Interval) {
+    /// `iv`; whether the entry is new.
+    pub(crate) fn insert(&mut self, key: Vec<Value>, iv: Interval) -> bool {
         let ivs = self.entries.entry(key).or_default();
-        if !ivs.contains(&iv) {
+        let new = !ivs.contains(&iv);
+        if new {
             ivs.push(iv);
         }
+        new
+    }
+
+    /// Forgets the entry `(key, iv)`.
+    pub(crate) fn remove(&mut self, key: &[Value], iv: Interval) {
+        if let Some(ivs) = self.entries.get_mut(key) {
+            ivs.retain(|m| *m != iv);
+            if ivs.is_empty() {
+                self.entries.remove(key);
+            }
+        }
+    }
+
+    /// Forgets every entry under `key`, returning their intervals.
+    pub(crate) fn take(&mut self, key: &[Value]) -> Option<Vec<Interval>> {
+        self.entries.remove(key)
     }
 
     /// Whether a recorded interval for `key` covers `iv`.
@@ -215,6 +232,23 @@ pub(crate) fn fire_order<'a>(checks: impl IntoIterator<Item = &'a Check>) -> Vec
     order
 }
 
+/// Calls `f` with the index of each memo watching `rel` and the key it
+/// gives a fact holding `data` (its determined columns).
+pub(crate) fn for_each_memo_key<'a>(
+    checks: impl Iterator<Item = &'a Check>,
+    rel: RelId,
+    data: &[Value],
+    mut f: impl FnMut(usize, Vec<Value>),
+) {
+    for (mi, check) in checks.enumerate() {
+        if let Check::Memo { rel: mrel, cols } = check {
+            if *mrel == rel {
+                f(mi, cols.iter().map(|&c| data[c]).collect());
+            }
+        }
+    }
+}
+
 /// Registers an inserted target fact with every memo watching its relation.
 pub(crate) fn register_memo<'a>(
     memos: &mut [MemoTable],
@@ -223,14 +257,9 @@ pub(crate) fn register_memo<'a>(
     data: &[Value],
     iv: Interval,
 ) {
-    for (mi, check) in checks.enumerate() {
-        if let Check::Memo { rel: mrel, cols } = check {
-            if *mrel == rel {
-                let key: Vec<Value> = cols.iter().map(|&c| data[c]).collect();
-                memos[mi].insert(key, iv);
-            }
-        }
-    }
+    for_each_memo_key(checks, rel, data, |mi, key| {
+        memos[mi].insert(key, iv);
+    });
 }
 
 /// The memo probe key of one enumerated homomorphism: the determined head
@@ -1709,7 +1738,7 @@ pub fn c_chase_distributed_with(
     let tgds = mapping.st_tgds();
     let mut src_pre: FactLists = vec![Vec::new(); nrels_src];
     let mut src_index = LazyIndex::default();
-    let mut src_block = Settled::new(&mut src_pre, &mut src_index, &src_schema, &tgd_bodies);
+    let mut src_block = Settled::new(&mut src_pre, &mut src_index, &src_schema, &tgd_bodies, &[]);
     let mut src_delta: FactLists = (0..nrels_src)
         .map(|r| ic.facts(RelId(r as u32)).to_vec())
         .collect();
@@ -1802,7 +1831,7 @@ pub fn c_chase_distributed_with(
     }
     let mut pre: FactLists = vec![Vec::new(); nrels_tgt];
     let mut tgt_index = LazyIndex::default();
-    let mut block = Settled::new(&mut pre, &mut tgt_index, &tgt_schema, &egd_bodies);
+    let mut block = Settled::new(&mut pre, &mut tgt_index, &tgt_schema, &egd_bodies, &[]);
     let mut delta: FactLists = (0..nrels_tgt)
         .map(|r| target.facts(RelId(r as u32)).to_vec())
         .collect();

@@ -54,6 +54,6 @@ pub use transport::{
 };
 
 pub(crate) use coordinator::{
-    classify_check, fire_order, fold_merge_ops, is_transport_error, memo_probe_key, register_memo,
-    Check, MemoTable,
+    classify_check, fire_order, fold_merge_ops, for_each_memo_key, is_transport_error,
+    memo_probe_key, register_memo, Check, MemoTable,
 };

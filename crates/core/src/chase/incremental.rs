@@ -58,10 +58,20 @@
 //!    [`TimelinePartition::imbalance`]); nothing in the session state is
 //!    keyed on the partition, so re-cutting is free.
 //!
+//! A narrowing refine retracts knowledge, which the monotone steps above
+//! cannot express. The session re-chases only the refined rows' *linked
+//! component* (`chase/component.rs`): it deletes the component's settled
+//! facts and memo keys in place, swaps the refined rows in the raw
+//! source, and absorbs the component's raw facts again through the
+//! steps above. A mapping without value links, or a component that is
+//! the whole state, falls back to one full re-chase.
+//!
 //! Failure handling: an egd equating two distinct constants means the
 //! *accumulated* source admits no solution. The session rolls the batch
-//! back (the target is rebuilt from the pre-batch source, which was
-//! consistent) and returns the failure, staying usable.
+//! back and returns the failure, staying usable: an insert batch by
+//! rebuilding the target from the pre-batch source (which was
+//! consistent), a component re-chase by undoing its journaled edits, so
+//! the session is byte-identical to its pre-batch self.
 //!
 //! The correctness oracle is the paper's abstract chase of the accumulated
 //! source after every batch: the target must be hom-equivalent to it, or
@@ -70,16 +80,17 @@
 //! spelled out in `docs/incremental.md`.
 
 use crate::chase::cluster::{
-    classify_check, fire_order, fold_merge_ops, is_transport_error, memo_probe_key,
-    resolve_transport, spawner_for, Check, DistributedCluster, Hom, MemoTable, MergeOp,
-    TrafficStats, TransportSpawner,
+    classify_check, fire_order, fold_merge_ops, for_each_memo_key, is_transport_error,
+    memo_probe_key, resolve_transport, spawner_for, Check, DistributedCluster, Hom, MemoTable,
+    MergeOp, TrafficStats, TransportSpawner,
 };
+use crate::chase::component::{linked_component, Links, SOURCE, TARGET};
 use crate::chase::concrete::{
     instantiate, narrate_tgd_step, AnnotatedUnionFind, CChaseResult, ChaseEngine, ChaseOptions,
     ChaseStats, UfKey,
 };
 use crate::chase::partitioned::{fact_at, refragment_lists, rewrite_values, FactLists};
-use crate::chase::settled::{LazyIndex, Settled};
+use crate::chase::settled::{insert_positions, remove_positions, Edit, LazyIndex, Settled};
 use crate::error::{Result, TdxError};
 use crate::query::cache::{DirtySet, QueryService};
 use std::collections::BTreeSet;
@@ -101,8 +112,9 @@ use tdx_temporal::{Breakpoints, Interval, TimePoint, TimelinePartition};
 /// turned out to hold *longer* — e.g. an open-ended employment gets its
 /// real extent), the refinement is monotone and rides the incremental path
 /// as an insertion; when it narrows the row's timeline, knowledge was
-/// retracted and the session transparently falls back to one full re-chase
-/// for that batch.
+/// retracted and the session re-chases the part of its state linked to the
+/// batch's refined rows — one person's facts under the employment mapping
+/// — or, for a mapping without value links, everything once.
 #[derive(Clone, Debug, Default)]
 pub struct DeltaBatch {
     inserts: Vec<(RelId, Row, Interval)>,
@@ -211,7 +223,9 @@ pub struct BatchStats {
     pub partitions: usize,
     /// Whether the timeline partition was re-coarsened for this batch.
     pub recoarsened: bool,
-    /// Whether the batch fell back to a full re-chase (narrowing refine).
+    /// Whether the batch fell back to a full re-chase: a narrowing refine
+    /// under a mapping without value links, or one whose linked component
+    /// is the whole state.
     pub full_rechase: bool,
     /// Materialized target size after the batch.
     pub target_facts: usize,
@@ -222,20 +236,23 @@ pub struct BatchStats {
 
 /// Session-level counters. `batches` and `full_rechases` are cumulative
 /// over the session's lifetime; the work counters (`tgd_steps`,
-/// `egd_merges`, `nulls_created`) describe the work behind the *current*
-/// materialized state and restart whenever a full re-chase rebuilds it.
+/// `egd_merges`, `nulls_created`) count the work since the last full
+/// re-chase rebuilt the state, component re-chases included.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SessionStats {
     /// Successfully applied batches (failed, rolled-back batches do not
-    /// count; a narrowing-refine full re-chase counts as one).
+    /// count; a narrowing refine counts as one).
     pub batches: usize,
-    /// Tgd steps fired building the current state.
+    /// Tgd steps fired since the last full re-chase.
     pub tgd_steps: usize,
-    /// Egd identifications performed building the current state.
+    /// Egd identifications performed since the last full re-chase.
     pub egd_merges: usize,
-    /// Full re-chases taken (narrowing refines, failure rollbacks).
+    /// Full re-chases taken: narrowing refines that fell back (a mapping
+    /// without value links, or a component that is the whole state) and
+    /// rollbacks of failed insert batches. A component re-chase is not
+    /// one.
     pub full_rechases: usize,
-    /// Fresh nulls behind the current state.
+    /// Fresh nulls minted since the last full re-chase.
     pub nulls_created: u64,
 }
 
@@ -510,8 +527,8 @@ pub struct IncrementalExchange {
     /// Accumulated raw source facts (insertion order) + dedup set.
     source: FactLists,
     source_set: FxHashSet<(u32, Row, Interval)>,
-    /// Distinct source endpoints (for partition maintenance).
-    endpoints: FxHashSet<TimePoint>,
+    /// Source endpoints, counted (for partition maintenance).
+    endpoints: Endpoints,
     /// Timeline partition + endpoint count when it was last cut.
     tp: TimelinePartition,
     endpoints_at_cut: usize,
@@ -526,6 +543,8 @@ pub struct IncrementalExchange {
     /// and never cloned.
     nsrc_index: LazyIndex,
     tgt_index: LazyIndex,
+    /// The mapping's value links, whose keys the indexes map too.
+    links: Arc<Links>,
 
     plans: Vec<TgdPlan>,
     egd_plans: Vec<EgdPlan>,
@@ -559,6 +578,64 @@ pub struct IncrementalExchange {
 }
 
 const PARTS_HINT: usize = 16;
+
+/// The endpoints of the accumulated source, each with the number of
+/// source facts carrying it: a narrowing refine removes facts, and an
+/// endpoint leaves the histogram only with its last fact.
+#[derive(Clone, Default)]
+struct Endpoints(FxHashMap<TimePoint, u32>);
+
+impl Endpoints {
+    fn points(iv: Interval) -> impl Iterator<Item = TimePoint> {
+        std::iter::once(iv.start()).chain(iv.end().finite())
+    }
+
+    fn add(&mut self, iv: Interval) {
+        for p in Self::points(iv) {
+            *self.0.entry(p).or_default() += 1;
+        }
+    }
+
+    fn remove(&mut self, iv: Interval) {
+        for p in Self::points(iv) {
+            if let Some(n) = self.0.get_mut(&p) {
+                *n -= 1;
+                if *n == 0 {
+                    self.0.remove(&p);
+                }
+            }
+        }
+    }
+
+    /// Distinct endpoints.
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    fn breakpoints(&self) -> Breakpoints {
+        Breakpoints::from_points(self.0.keys().copied())
+    }
+}
+
+/// What a component re-chase needs to put the session back exactly as it
+/// was: the edits of both settled blocks, the memo entries it dropped and
+/// added, the raw source facts it removed, and the scalars it may move.
+struct Journal {
+    nsrc: Vec<Edit>,
+    tgt: Vec<Edit>,
+    /// `(tgd, key, interval)` entries the re-chase added.
+    memos_added: Vec<(usize, Vec<Value>, Interval)>,
+    /// `(tgd, key, intervals)` entries the component's facts carried.
+    memos_dropped: Vec<(usize, Vec<Value>, Vec<Interval>)>,
+    /// Raw source facts removed (with their positions), in removal order.
+    source_removed: Vec<(RelId, Vec<u32>, Vec<TemporalFact>)>,
+    /// Raw source lengths before the batch's facts were appended.
+    source_lens: Vec<usize>,
+    nulls: u64,
+    tp: TimelinePartition,
+    endpoints_at_cut: usize,
+    stats: SessionStats,
+}
 
 impl IncrementalExchange {
     /// A fresh session over `mapping` with default chase options.
@@ -626,6 +703,7 @@ impl IncrementalExchange {
             });
         }
         let probe_needed = plans.iter().any(|p| matches!(p.check, Check::Probe));
+        let links = Arc::new(Links::compile(&mapping));
         let memos = plans.iter().map(|_| Default::default()).collect();
         let nsrcs = src_schema.len();
         let ntgts = tgt_schema.len();
@@ -644,6 +722,7 @@ impl IncrementalExchange {
             tgt: vec![Vec::new(); ntgts],
             nsrc_index: LazyIndex::default(),
             tgt_index: LazyIndex::default(),
+            links,
             plans,
             egd_plans,
             memos,
@@ -809,14 +888,8 @@ impl IncrementalExchange {
                     .map(move |f| (rel as u32, Arc::clone(&f.data), f.interval))
             })
             .collect();
-        self.endpoints.clear();
-        for fact in source.iter().flatten() {
-            self.endpoints.insert(fact.interval.start());
-            if let tdx_temporal::Endpoint::Fin(e) = fact.interval.end() {
-                self.endpoints.insert(e);
-            }
-        }
         self.source = source;
+        self.count_endpoints();
         self.endpoints_at_cut = endpoints_at_cut;
         self.tp = tp;
         self.nsrc = nsrc;
@@ -927,7 +1000,7 @@ impl IncrementalExchange {
             }
         }
         if narrowing {
-            return self.full_rechase(batch);
+            return self.narrow(batch);
         }
         // Record genuinely new facts into the accumulated source.
         let pre_lens: Vec<usize> = self.source.iter().map(|l| l.len()).collect();
@@ -940,6 +1013,7 @@ impl IncrementalExchange {
                     data: Arc::clone(&data),
                     interval: iv,
                 });
+                self.endpoints.add(iv);
                 fresh[rel.0 as usize].push(TemporalFact { data, interval: iv });
                 batch_facts += 1;
             }
@@ -956,7 +1030,7 @@ impl IncrementalExchange {
                 ..BatchStats::default()
             });
         }
-        match self.absorb(fresh, batch_facts) {
+        match self.absorb(fresh, batch_facts, None) {
             Ok(stats) => {
                 self.stats.batches += 1;
                 // Fingerprint-diff publish: `stats.dirty_parts` tracks where
@@ -1152,20 +1226,49 @@ impl IncrementalExchange {
     /// The incremental core: absorbs `fresh` (already recorded in the
     /// accumulated source) and restores the chase fixpoint. The settled
     /// blocks are edited in place, beside their indexes; on failure they
-    /// are left half-edited, and the caller rebuilds the session.
-    fn absorb(&mut self, fresh: FactLists, batch_facts: usize) -> Result<BatchStats> {
+    /// are left half-edited, and the caller either rebuilds the session or
+    /// undoes what `journal` recorded.
+    fn absorb(
+        &mut self,
+        fresh: FactLists,
+        batch_facts: usize,
+        journal: Option<&mut Journal>,
+    ) -> Result<BatchStats> {
         let mut nsrc = std::mem::take(&mut self.nsrc);
         let mut nsrc_index = std::mem::take(&mut self.nsrc_index);
         let mut tgt = std::mem::take(&mut self.tgt);
         let mut tgt_index = std::mem::take(&mut self.tgt_index);
-        let mapping = Arc::clone(&self.mapping);
+        let (mapping, links) = (Arc::clone(&self.mapping), Arc::clone(&self.links));
         let (src_schema, tgt_schema) = (Arc::clone(&self.src_schema), Arc::clone(&self.tgt_schema));
         let (tgd_bodies, egd_bodies) = (mapping.tgd_bodies(), mapping.egd_bodies());
+        let (nsrc_edits, tgt_edits, memo_log) = match journal {
+            Some(j) => (
+                Some(&mut j.nsrc),
+                Some(&mut j.tgt),
+                Some(&mut j.memos_added),
+            ),
+            None => (None, None, None),
+        };
         let out = self.absorb_into(
-            Settled::new(&mut nsrc, &mut nsrc_index, &src_schema, &tgd_bodies),
-            Settled::new(&mut tgt, &mut tgt_index, &tgt_schema, &egd_bodies),
+            Settled::new(
+                &mut nsrc,
+                &mut nsrc_index,
+                &src_schema,
+                &tgd_bodies,
+                &links.keys[SOURCE],
+            )
+            .journaled(nsrc_edits),
+            Settled::new(
+                &mut tgt,
+                &mut tgt_index,
+                &tgt_schema,
+                &egd_bodies,
+                &links.keys[TARGET],
+            )
+            .journaled(tgt_edits),
             fresh,
             batch_facts,
+            memo_log,
         );
         self.nsrc = nsrc;
         self.nsrc_index = nsrc_index;
@@ -1180,29 +1283,21 @@ impl IncrementalExchange {
         mut tgt: Settled<'_>,
         fresh: FactLists,
         batch_facts: usize,
+        mut memo_log: Option<&mut Vec<(usize, Vec<Value>, Interval)>>,
     ) -> Result<BatchStats> {
         let mut stats = BatchStats {
             batch_facts,
             ..BatchStats::default()
         };
         // Breakpoint maintenance: endpoints are drawn from the source (the
-        // chase never invents new ones); re-coarsen when the histogram
-        // shifted enough that the old cut no longer balances.
-        for facts in &fresh {
-            for fact in facts {
-                self.endpoints.insert(fact.interval.start());
-                if let tdx_temporal::Endpoint::Fin(e) = fact.interval.end() {
-                    self.endpoints.insert(e);
-                }
-            }
-        }
-        if self.endpoints.len() >= (2 * self.endpoints_at_cut).max(2) || {
-            self.stats.batches % 16 == 15 && {
-                let bps = Breakpoints::from_points(self.endpoints.iter().copied());
-                self.tp.imbalance(&bps) > 3.0
-            }
-        } {
-            let bps = Breakpoints::from_points(self.endpoints.iter().copied());
+        // chase never invents new ones, and the source edits keep
+        // `endpoints` current); re-coarsen when the histogram shifted
+        // enough that the old cut no longer balances.
+        if self.endpoints.len() >= (2 * self.endpoints_at_cut).max(2)
+            || (self.stats.batches % 16 == 15
+                && self.tp.imbalance(&self.endpoints.breakpoints()) > 3.0)
+        {
+            let bps = self.endpoints.breakpoints();
             self.tp = TimelinePartition::new(&bps.coarsen(PARTS_HINT));
             self.endpoints_at_cut = self.endpoints.len();
             stats.recoarsened = true;
@@ -1313,7 +1408,14 @@ impl IncrementalExchange {
                         for (rel, atom) in &plan.head {
                             let row: Row = instantiate(atom, &h).into();
                             if is_new(&mut tgt, *rel, &row, iv) {
-                                register_memo(&mut self.memos, &self.plans, *rel, &row, iv);
+                                register_memo(
+                                    &mut self.memos,
+                                    &self.plans,
+                                    *rel,
+                                    &row,
+                                    iv,
+                                    memo_log.as_deref_mut(),
+                                );
                                 if let Some(pi) = probe_inst.as_mut() {
                                     pi.insert(*rel, Arc::clone(&row), iv);
                                 }
@@ -1361,7 +1463,14 @@ impl IncrementalExchange {
                 for (rel, atom) in &self.plans[ti].head {
                     let row: Row = instantiate(atom, &env).into();
                     if is_new(&mut tgt, *rel, &row, iv) {
-                        register_memo(&mut self.memos, &self.plans, *rel, &row, iv);
+                        register_memo(
+                            &mut self.memos,
+                            &self.plans,
+                            *rel,
+                            &row,
+                            iv,
+                            memo_log.as_deref_mut(),
+                        );
                         if let Some(pi) = probe_inst.as_mut() {
                             pi.insert(*rel, Arc::clone(&row), iv);
                         }
@@ -1518,8 +1627,229 @@ impl IncrementalExchange {
         Ok(stats)
     }
 
-    /// The non-monotone path: rebuild the accumulated source with the
-    /// batch's refines applied, then re-chase everything as one batch.
+    /// Runs `f` on the two settled blocks beside their indexes, recording
+    /// their edits into `journal` when given.
+    fn with_blocks<R>(
+        &mut self,
+        journal: Option<&mut Journal>,
+        f: impl FnOnce(Settled<'_>, Settled<'_>) -> R,
+    ) -> R {
+        let (mapping, links) = (Arc::clone(&self.mapping), Arc::clone(&self.links));
+        let (src_schema, tgt_schema) = (Arc::clone(&self.src_schema), Arc::clone(&self.tgt_schema));
+        let (tgd_bodies, egd_bodies) = (mapping.tgd_bodies(), mapping.egd_bodies());
+        let (nsrc_edits, tgt_edits) = match journal {
+            Some(j) => (Some(&mut j.nsrc), Some(&mut j.tgt)),
+            None => (None, None),
+        };
+        f(
+            Settled::new(
+                &mut self.nsrc,
+                &mut self.nsrc_index,
+                &src_schema,
+                &tgd_bodies,
+                &links.keys[SOURCE],
+            )
+            .journaled(nsrc_edits),
+            Settled::new(
+                &mut self.tgt,
+                &mut self.tgt_index,
+                &tgt_schema,
+                &egd_bodies,
+                &links.keys[TARGET],
+            )
+            .journaled(tgt_edits),
+        )
+    }
+
+    /// The narrowing path: re-chases the linked component of the batch's
+    /// refined rows (see the module docs). The component's settled facts
+    /// and the memo keys its target facts carry are deleted in place, the
+    /// refined rows are swapped in the raw source, and the component's raw
+    /// facts — in source order, followed by the batch's new facts — are
+    /// absorbed against the rest of the state. Every edit is journaled, so
+    /// a failed re-chase leaves the session byte-identical to its
+    /// pre-batch self. A mapping without value links, or a component that
+    /// is the whole state, takes [`full_rechase`](Self::full_rechase).
+    fn narrow(&mut self, batch: &DeltaBatch) -> Result<BatchStats> {
+        let links = Arc::clone(&self.links);
+        if !links.connected {
+            return self.full_rechase(batch);
+        }
+        let seeds: Vec<(RelId, TemporalFact)> = batch
+            .refines
+            .iter()
+            .flat_map(|(rel, data, _)| {
+                self.source[rel.0 as usize]
+                    .iter()
+                    .filter(move |f| f.data == *data)
+                    .map(move |f| (*rel, f.clone()))
+            })
+            .collect();
+        let component = self.with_blocks(None, |mut nsrc, mut tgt| {
+            linked_component(&links, [nsrc.parts(), tgt.parts()], &seeds)
+        });
+        let size: usize = component.iter().flatten().map(Vec::len).sum();
+        if size
+            == self
+                .nsrc
+                .iter()
+                .chain(&self.tgt)
+                .map(Vec::len)
+                .sum::<usize>()
+        {
+            return self.full_rechase(batch);
+        }
+        let mut journal = Journal {
+            nsrc: Vec::new(),
+            tgt: Vec::new(),
+            memos_added: Vec::new(),
+            memos_dropped: Vec::new(),
+            source_removed: Vec::new(),
+            source_lens: Vec::new(),
+            nulls: self.nulls.peek(),
+            tp: self.tp.clone(),
+            endpoints_at_cut: self.endpoints_at_cut,
+            stats: self.stats.clone(),
+        };
+        // The component's source rows; then its memo keys and facts go.
+        let rows: Vec<FxHashSet<Row>> = component[SOURCE]
+            .iter()
+            .zip(&self.nsrc)
+            .map(|(ps, list)| {
+                ps.iter()
+                    .map(|&p| Arc::clone(&list[p as usize].data))
+                    .collect()
+            })
+            .collect();
+        for (r, ps) in component[TARGET].iter().enumerate() {
+            for &p in ps {
+                let data = &self.tgt[r][p as usize].data;
+                let checks = self.plans.iter().map(|p| &p.check);
+                for_each_memo_key(checks, RelId(r as u32), data, |ti, key| {
+                    if let Some(ivs) = self.memos[ti].take(&key) {
+                        journal.memos_dropped.push((ti, key, ivs));
+                    }
+                });
+            }
+        }
+        self.with_blocks(Some(&mut journal), |mut nsrc, mut tgt| {
+            let [src_gone, tgt_gone] = &component;
+            for (r, ps) in src_gone.iter().enumerate() {
+                nsrc.delete(RelId(r as u32), ps);
+            }
+            for (r, ps) in tgt_gone.iter().enumerate() {
+                tgt.delete(RelId(r as u32), ps);
+            }
+        });
+        let (fresh, batch_facts) = self.swap_refined_rows(batch, &rows, &mut journal);
+        match self.absorb(fresh, batch_facts, Some(&mut journal)) {
+            Ok(stats) => {
+                self.stats.batches += 1;
+                self.publish_target(DirtySet::Diff);
+                Ok(stats)
+            }
+            Err(e) => {
+                self.undo(journal);
+                Err(e)
+            }
+        }
+    }
+
+    /// Swaps the batch's refined rows in the raw source — each loses every
+    /// interval it held — and appends the batch's new facts, journaling
+    /// both. Returns the facts to absorb: the raw facts of the component's
+    /// source `rows` (per relation) in source order, then the appended
+    /// ones, with the count of the latter.
+    fn swap_refined_rows(
+        &mut self,
+        batch: &DeltaBatch,
+        rows: &[FxHashSet<Row>],
+        journal: &mut Journal,
+    ) -> (FactLists, usize) {
+        for (rel, data, _) in &batch.refines {
+            let list = &mut self.source[rel.0 as usize];
+            let (mut at, mut gone) = (Vec::new(), Vec::new());
+            for (p, f) in list.iter().enumerate() {
+                if f.data == *data {
+                    at.push(p as u32);
+                    gone.push(f.clone());
+                }
+            }
+            remove_positions(list, &at);
+            for f in &gone {
+                self.source_set
+                    .remove(&(rel.0, Arc::clone(&f.data), f.interval));
+                self.endpoints.remove(f.interval);
+            }
+            journal.source_removed.push((*rel, at, gone));
+        }
+        journal.source_lens = self.source.iter().map(Vec::len).collect();
+        let mut added = 0usize;
+        for (rel, data, iv) in batch.refines.iter().chain(&batch.inserts) {
+            if self.source_set.insert((rel.0, Arc::clone(data), *iv)) {
+                self.source[rel.0 as usize].push(TemporalFact {
+                    data: Arc::clone(data),
+                    interval: *iv,
+                });
+                self.endpoints.add(*iv);
+                added += 1;
+            }
+        }
+        let fresh = self
+            .source
+            .iter()
+            .zip(&journal.source_lens)
+            .zip(rows)
+            .map(|((list, &len), rows)| {
+                let (kept, appended) = list.split_at(len);
+                kept.iter()
+                    .filter(|f| !rows.is_empty() && rows.contains(&f.data[..]))
+                    .chain(appended)
+                    .cloned()
+                    .collect()
+            })
+            .collect();
+        (fresh, added)
+    }
+
+    /// Puts the session back as it was before the component re-chase that
+    /// recorded `journal`.
+    fn undo(&mut self, journal: Journal) {
+        let (nsrc_edits, tgt_edits) = (journal.nsrc, journal.tgt);
+        self.with_blocks(None, |mut nsrc, mut tgt| {
+            nsrc.undo(nsrc_edits);
+            tgt.undo(tgt_edits);
+        });
+        for (ti, key, iv) in journal.memos_added.iter().rev() {
+            self.memos[*ti].remove(key, *iv);
+        }
+        for (ti, key, ivs) in journal.memos_dropped {
+            for iv in ivs {
+                self.memos[ti].insert(key.clone(), iv);
+            }
+        }
+        for (r, (list, &len)) in self.source.iter_mut().zip(&journal.source_lens).enumerate() {
+            for f in list.drain(len..) {
+                self.endpoints.remove(f.interval);
+                self.source_set.remove(&(r as u32, f.data, f.interval));
+            }
+        }
+        for (rel, at, gone) in journal.source_removed.into_iter().rev() {
+            for f in &gone {
+                self.endpoints.add(f.interval);
+                self.source_set
+                    .insert((rel.0, Arc::clone(&f.data), f.interval));
+            }
+            insert_positions(&mut self.source[rel.0 as usize], &at, gone);
+        }
+        self.nulls = NullGen::starting_at(journal.nulls);
+        self.tp = journal.tp;
+        self.endpoints_at_cut = journal.endpoints_at_cut;
+        self.stats = journal.stats;
+    }
+
+    /// The fallback non-monotone path: rebuild the accumulated source with
+    /// the batch's refines applied, then re-chase everything as one batch.
     fn full_rechase(&mut self, batch: &DeltaBatch) -> Result<BatchStats> {
         let old_source = self.source.clone();
         let old_set = self.source_set.clone();
@@ -1576,12 +1906,21 @@ impl IncrementalExchange {
     /// rollback must not count the failed batch as applied.
     fn rebuild_from_source(&mut self) -> Result<BatchStats> {
         self.reset_derived_state();
+        self.count_endpoints();
         let fresh = self.source.clone();
         let n = fresh.iter().map(|l| l.len()).sum();
         self.stats.full_rechases += 1;
         self.stats.tgd_steps = 0;
         self.stats.egd_merges = 0;
-        self.absorb(fresh, n)
+        self.absorb(fresh, n, None)
+    }
+
+    /// Recounts the endpoint histogram from the accumulated source.
+    fn count_endpoints(&mut self) {
+        self.endpoints = Endpoints::default();
+        for fact in self.source.iter().flatten() {
+            self.endpoints.add(fact.interval);
+        }
     }
 
     /// Drops **every** piece of state derived from the pre-rebuild source,
@@ -1590,9 +1929,8 @@ impl IncrementalExchange {
     /// (rebuilt lazily by the first absorb that needs them), the
     /// persistent restricted-check memos (a memo entry records coverage by
     /// a target fact that a narrowing refine may have removed — a stale
-    /// entry would wrongly suppress tgd steps in later batches; see the
-    /// `narrowing_then_insert_*` regression tests), the null generator,
-    /// the endpoint histogram, the timeline partition, and the
+    /// entry would wrongly suppress tgd steps in later batches), the null
+    /// generator, the endpoint histogram, the timeline partition, and the
     /// partition-server cluster (the fresh partition forces a respawn).
     /// The per-phase `DirtyIndex` is never persisted on the session, so no
     /// other derived structure can survive a rebuild.
@@ -1605,7 +1943,7 @@ impl IncrementalExchange {
             m.clear();
         }
         self.nulls = NullGen::new();
-        self.endpoints.clear();
+        self.endpoints = Endpoints::default();
         self.endpoints_at_cut = 0;
         self.tp = TimelinePartition::whole();
         self.cluster = None;
@@ -1613,15 +1951,25 @@ impl IncrementalExchange {
 }
 
 /// Registers an inserted target fact with every persistent memo watching
-/// its relation (the kernel's memo registration over the session's plans).
+/// its relation (the kernel's memo registration over the session's
+/// plans), logging each new entry when given a log.
 fn register_memo(
     memos: &mut [MemoTable],
     plans: &[TgdPlan],
     rel: RelId,
     data: &[Value],
     iv: Interval,
+    log: Option<&mut Vec<(usize, Vec<Value>, Interval)>>,
 ) {
-    crate::chase::cluster::register_memo(memos, plans.iter().map(|p| &p.check), rel, data, iv);
+    let checks = plans.iter().map(|p| &p.check);
+    match log {
+        None => crate::chase::cluster::register_memo(memos, checks, rel, data, iv),
+        Some(log) => for_each_memo_key(checks, rel, data, |ti, key| {
+            if memos[ti].insert(key.clone(), iv) {
+                log.push((ti, key, iv));
+            }
+        }),
+    }
 }
 
 /// Drains `delta` into the settled block, preserving order: the settled
@@ -1905,14 +2253,26 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn narrowing_refine_falls_back_to_full_rechase() {
+    fn narrowing_refine_rechases_its_component() {
         let mapping = paper_mapping();
         let mut s = IncrementalExchange::new(mapping.clone()).unwrap();
         s.apply(&batch(
             &mapping,
-            &[("E", &["Ada", "IBM"][..], iv(2012, 2018))],
+            &[
+                ("E", &["Ada", "IBM"][..], iv(2012, 2018)),
+                ("S", &["Ada", "18k"][..], iv(2013, 2016)),
+                ("E", &["Bob", "IBM"][..], iv(2012, 2018)),
+            ],
         ))
         .unwrap();
+        let bob = |s: &IncrementalExchange| {
+            s.tgt[0]
+                .iter()
+                .filter(|f| f.data[0] == Value::str("Bob"))
+                .cloned()
+                .collect::<Vec<_>>()
+        };
+        let bob_before = bob(&s);
         let e = mapping
             .source()
             .rel_id(tdx_logic::Symbol::intern("E"))
@@ -1924,10 +2284,59 @@ pub(crate) mod tests {
             iv(2012, 2014),
         );
         let stats = s.apply(&b).unwrap();
-        assert!(stats.full_rechase);
-        assert_eq!(s.source_len(), 1);
+        assert!(!stats.full_rechase, "only Ada's component is re-chased");
+        assert_eq!(s.stats().full_rechases, 0);
+        assert_eq!(s.source_len(), 3);
         let sem = semantics(&s.target());
-        assert!(sem.snapshot_at(2015).is_empty());
+        assert_eq!(
+            sem.snapshot_at(2015).total_len(),
+            1,
+            "only Bob works in 2015"
+        );
+        assert_eq!(bob(&s), bob_before, "Bob's facts, nulls included, stay");
+        assert_matches_from_scratch(&s);
+        // Alone in a session, Ada's component is the whole state.
+        let mut alone = IncrementalExchange::new(mapping.clone()).unwrap();
+        alone
+            .apply(&batch(
+                &mapping,
+                &[("E", &["Ada", "IBM"][..], iv(2012, 2018))],
+            ))
+            .unwrap();
+        assert!(alone.apply(&b).unwrap().full_rechase, "fallback");
+        assert_matches_from_scratch(&alone);
+    }
+
+    /// A row no dependency reads has no link key: its normalized facts
+    /// are its raw ones, found verbatim, and a refine swaps them alone.
+    #[test]
+    fn refining_an_unread_row_swaps_its_facts_alone() {
+        let paper = paper_mapping();
+        let mapping = SchemaMapping::new(
+            parse_schema("E(name, company). S(name, salary). Q(note).").unwrap(),
+            paper.target().clone(),
+            paper.st_tgds().to_vec(),
+            paper.egds().to_vec(),
+        )
+        .unwrap();
+        let q = RelId(2);
+        let mut s = IncrementalExchange::new(mapping.clone()).unwrap();
+        let mut b = batch(&mapping, &[("E", &["Ada", "IBM"][..], iv(0, 10))]);
+        b.insert(q, row([Value::str("x")]), iv(0, 10));
+        b.insert(q, row([Value::str("x")]), iv(20, 30));
+        b.insert(q, row([Value::str("y")]), iv(0, 10));
+        s.apply(&b).unwrap();
+        let target = s.target();
+        let mut b = DeltaBatch::new();
+        b.refine(q, row([Value::str("x")]), iv(2, 4));
+        assert!(!s.apply(&b).unwrap().full_rechase);
+        let notes: Vec<(Value, Interval)> =
+            s.nsrc[2].iter().map(|f| (f.data[0], f.interval)).collect();
+        assert_eq!(
+            notes,
+            vec![(Value::str("y"), iv(0, 10)), (Value::str("x"), iv(2, 4))]
+        );
+        assert_eq!(s.target(), target);
         assert_matches_from_scratch(&s);
     }
 
@@ -1981,8 +2390,8 @@ pub(crate) mod tests {
 
     #[test]
     fn narrowing_then_insert_does_not_reuse_stale_memos() {
-        // Regression: the full re-chase a narrowing refine triggers must
-        // drop the persistent restricted-check memos. A stale memo entry
+        // Regression: the component re-chase of a narrowing refine must
+        // drop the memo keys its target facts carry. A stale memo entry
         // `(Ada, IBM) @ [2012, 2018)` would claim the st1 head is already
         // covered and suppress the tgd step for the re-inserted interval —
         // the session would silently lose Ada's row.
@@ -1995,10 +2404,13 @@ pub(crate) mod tests {
             let mut s = IncrementalExchange::with_options(mapping.clone(), opts).unwrap();
             s.apply(&batch(
                 &mapping,
-                &[("E", &["Ada", "IBM"][..], iv(2012, 2018))],
+                &[
+                    ("E", &["Ada", "IBM"][..], iv(2012, 2018)),
+                    ("E", &["Bob", "IBM"][..], iv(2012, 2018)),
+                ],
             ))
             .unwrap();
-            // Narrow Ada's employment: full re-chase, memos must reset.
+            // Narrow Ada's employment: her component's memo keys go.
             let mut b = DeltaBatch::new();
             b.refine(
                 e,
@@ -2006,7 +2418,13 @@ pub(crate) mod tests {
                 iv(2012, 2014),
             );
             let stats = s.apply(&b).unwrap();
-            assert!(stats.full_rechase);
+            assert!(!stats.full_rechase);
+            let key = [Value::str("Ada"), Value::str("IBM")];
+            assert!(!s.memos[0].covers(&key, iv(2015, 2018)), "key purged");
+            assert!(
+                s.memos[0].covers(&key, iv(2012, 2014)),
+                "re-chase re-registered"
+            );
             assert_matches_from_scratch(&s);
             // Re-insert over an interval the pre-narrowing memo covered:
             // the tgd step must fire again.
@@ -2123,13 +2541,15 @@ pub(crate) mod tests {
     }
 
     /// Index maintenance matches a rebuilt index. The live session keeps
-    /// its settled indexes up to date edit by edit; a copy restored from
-    /// `encode_state` and a clone, both taken mid-stream, rebuild theirs
-    /// lazily on their first absorb. Through tail-local inserts, a
-    /// widening refine, a narrowing refine (a full re-chase) and a
-    /// conflicting batch (a rollback), all three must encode
-    /// byte-identically after every batch, and the live one must agree
-    /// with the abstract chase.
+    /// its settled indexes up to date edit by edit; copies restored from
+    /// `encode_state` and a clone, taken mid-stream, rebuild theirs
+    /// lazily on their first absorb — the copy restored right before the
+    /// narrowing refine runs its component search on a freshly built
+    /// index. Through tail-local inserts, a widening refine, a narrowing
+    /// refine (a component re-chase), a conflicting insert batch (a
+    /// rebuild) and a conflicting narrowing refine (an undo), all copies
+    /// must encode byte-identically after every batch, and the live one
+    /// must agree with the abstract chase.
     #[test]
     fn maintained_indexes_match_rebuilt_ones() {
         use crate::chase::cluster::TransportKind;
@@ -2179,10 +2599,17 @@ pub(crate) mod tests {
             refine("E", ["zed", "acme"], iv(0, 6)),
             inserts(4),
             batch(mapping, &[("S", &["zed", "2k"][..], iv(2, 5))]),
+            {
+                let mut b = refine("S", ["zed", "1k"], iv(0, 4));
+                b.insert(rel("S"), row(["zed", "3k"].map(Value::str)), iv(3, 5));
+                b
+            },
             inserts(5),
             inserts(6),
         ];
-        const SPLIT: usize = 3;
+        // A restored copy and a clone mid-stream, and a restored copy
+        // right before the narrowing refine.
+        const SPLITS: [usize; 2] = [3, 6];
         for opts in [
             ChaseOptions::default(),
             ChaseOptions::distributed(1).on_transport(TransportKind::Channel),
@@ -2194,11 +2621,14 @@ pub(crate) mod tests {
             let mut copies: Vec<IncrementalExchange> = Vec::new();
             let mut outcomes = Vec::new();
             for (i, step) in steps.iter().enumerate() {
-                if i == SPLIT {
+                if SPLITS.contains(&i) {
                     let mut restored =
                         IncrementalExchange::with_options(mapping.clone(), opts.clone()).unwrap();
                     restored.restore_state(&live.encode_state()).unwrap();
-                    copies = vec![restored, live.clone()];
+                    copies.push(restored);
+                    if i == SPLITS[0] {
+                        copies.push(live.clone());
+                    }
                 }
                 let applied = live.apply(step);
                 outcomes.push((
@@ -2212,11 +2642,13 @@ pub(crate) mod tests {
                 assert_matches_from_scratch(&live);
             }
             // The stream really took every path: the narrowing refine
-            // re-chased, the conflicting batch failed, the rest applied.
-            assert_eq!(outcomes[6], (true, true));
-            assert!(!outcomes[8].0);
-            assert_eq!(outcomes.iter().filter(|o| o.0).count(), steps.len() - 1);
+            // re-chased its component, both conflicting batches failed,
+            // the rest applied, and nothing re-chased the whole state.
+            assert_eq!(outcomes[6], (true, false));
+            assert!(!outcomes[8].0 && !outcomes[9].0);
+            assert_eq!(outcomes.iter().filter(|o| o.0).count(), steps.len() - 2);
             assert!(!outcomes[4].1, "the widening refine stays incremental");
+            assert_eq!(live.stats().full_rechases, 1, "the insert rollback only");
         }
     }
 

@@ -17,6 +17,7 @@
 
 pub mod abstract_chase;
 pub mod cluster;
+pub(crate) mod component;
 pub mod concrete;
 pub mod durable;
 pub mod incremental;

@@ -96,14 +96,52 @@ pub(crate) fn run_tasks<R: Send>(
     out.into_iter().map(|(_, r)| r).collect()
 }
 
-/// A 2-atom conjunction compiled for the sweep join: per-atom constant and
-/// intra-atom-equality filters, plus the cross-atom join columns.
+/// One atom of a compiled pair, as a key over facts: the relation, the
+/// constant and intra-atom-equality filters a fact must pass to match the
+/// atom, and the columns its join with the other atom reads (in join
+/// order, so two facts join iff their keys are equal value by value).
+#[derive(Clone, PartialEq)]
+pub(crate) struct AtomKey {
+    pub(crate) rel: RelId,
+    consts: Vec<(usize, Value)>,
+    intra: Vec<(usize, usize)>,
+    cols: Vec<usize>,
+}
+
+impl AtomKey {
+    /// Whether `data` passes the atom's constant and intra-atom equality
+    /// filters.
+    pub(crate) fn passes(&self, data: &[Value]) -> bool {
+        !self.consts.iter().any(|&(col, ref v)| data[col] != *v)
+            && !self.intra.iter().any(|&(c1, c2)| data[c1] != data[c2])
+    }
+
+    /// The hash of `data`'s key columns. No per-fact allocation; a
+    /// collision only groups unrelated facts, and callers re-check with
+    /// [`agrees`](Self::agrees).
+    pub(crate) fn key_hash(&self, data: &[Value]) -> u64 {
+        use std::hash::{Hash, Hasher};
+        let mut h = tdx_storage::fxhash::FxHasher::default();
+        for &c in &self.cols {
+            data[c].hash(&mut h);
+        }
+        h.finish()
+    }
+
+    /// Whether `data`'s key under `self` equals `other_data`'s under
+    /// `other`.
+    pub(crate) fn agrees(&self, data: &[Value], other: &AtomKey, other_data: &[Value]) -> bool {
+        self.cols
+            .iter()
+            .zip(&other.cols)
+            .all(|(&a, &b)| data[a] == other_data[b])
+    }
+}
+
+/// A 2-atom conjunction compiled for the sweep join: one [`AtomKey`] per
+/// atom, whose key columns pair up as the cross-atom join.
 pub(crate) struct PairSpec {
-    pub(crate) rels: [RelId; 2],
-    consts: [Vec<(usize, Value)>; 2],
-    intra: [Vec<(usize, usize)>; 2],
-    /// `(col in atom 0, col in atom 1)` pairs that must be equal.
-    joins: Vec<(usize, usize)>,
+    pub(crate) sides: [AtomKey; 2],
 }
 
 impl PairSpec {
@@ -111,71 +149,58 @@ impl PairSpec {
     /// (the caller falls back to the generic matcher, which reports the
     /// proper error).
     fn compile(atoms: &[Atom], schema: &Schema) -> Option<PairSpec> {
-        let mut rels = [RelId(0); 2];
-        let mut consts: [Vec<(usize, Value)>; 2] = [Vec::new(), Vec::new()];
-        let mut intra: [Vec<(usize, usize)>; 2] = [Vec::new(), Vec::new()];
-        let mut joins = Vec::new();
+        PairSpec::compile_across([(&atoms[0], schema), (&atoms[1], schema)])
+    }
+
+    /// Compiles two atoms, each over its own schema (a tgd pairs a source
+    /// body atom with a target head atom); `None` when a relation is
+    /// unknown or an arity does not match.
+    pub(crate) fn compile_across(atoms: [(&Atom, &Schema); 2]) -> Option<PairSpec> {
+        let mut sides: [AtomKey; 2] = [0, 1].map(|_| AtomKey {
+            rel: RelId(0),
+            consts: Vec::new(),
+            intra: Vec::new(),
+            cols: Vec::new(),
+        });
         let mut first_of: Vec<(Var, usize, usize)> = Vec::new(); // var → (atom, col)
-        for (ai, atom) in atoms.iter().enumerate() {
-            rels[ai] = schema.rel_id(atom.relation)?;
-            if schema.relation(rels[ai]).arity() != atom.arity() {
+        for (ai, (atom, schema)) in atoms.into_iter().enumerate() {
+            sides[ai].rel = schema.rel_id(atom.relation)?;
+            if schema.relation(sides[ai].rel).arity() != atom.arity() {
                 return None;
             }
             for (col, term) in atom.terms.iter().enumerate() {
                 match term {
-                    tdx_logic::Term::Const(c) => consts[ai].push((col, Value::Const(*c))),
+                    tdx_logic::Term::Const(c) => sides[ai].consts.push((col, Value::Const(*c))),
                     tdx_logic::Term::Var(v) => match first_of.iter().find(|(w, _, _)| w == v) {
                         None => first_of.push((*v, ai, col)),
                         Some(&(_, fa, fc)) => {
                             if fa == ai {
-                                intra[ai].push((fc, col));
+                                sides[ai].intra.push((fc, col));
                             } else {
-                                joins.push((fc, col));
+                                sides[0].cols.push(fc);
+                                sides[1].cols.push(col);
                             }
                         }
                     },
                 }
             }
         }
-        Some(PairSpec {
-            rels,
-            consts,
-            intra,
-            joins,
-        })
+        Some(PairSpec { sides })
     }
 
-    /// Whether both atoms select and key facts alike — a self-join on the
-    /// same columns, like an FD body — so either side's candidates are the
-    /// other's.
-    pub(crate) fn is_symmetric(&self) -> bool {
-        self.rels[0] == self.rels[1]
-            && self.consts[0] == self.consts[1]
-            && self.intra[0] == self.intra[1]
-            && self.joins.iter().all(|&(c0, c1)| c0 == c1)
+    /// Whether the atoms share a variable.
+    pub(crate) fn joins(&self) -> bool {
+        !self.sides[0].cols.is_empty()
     }
 
-    /// Whether `fact` passes atom `side`'s constant and intra-atom
-    /// equality filters.
+    /// Whether `fact` passes atom `side`'s filters.
     pub(crate) fn passes(&self, fact: &TemporalFact, side: usize) -> bool {
-        !self.consts[side]
-            .iter()
-            .any(|&(col, ref v)| fact.data[col] != *v)
-            && !self.intra[side]
-                .iter()
-                .any(|&(c1, c2)| fact.data[c1] != fact.data[c2])
+        self.sides[side].passes(&fact.data)
     }
 
-    /// The hash of `fact`'s join columns as atom `side`. No per-fact
-    /// allocation; a collision only groups unrelated facts, and the
-    /// equality re-check at emit time filters them out.
+    /// The hash of `fact`'s join columns as atom `side`.
     pub(crate) fn key_hash(&self, fact: &TemporalFact, side: usize) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut h = tdx_storage::fxhash::FxHasher::default();
-        for &(c0, c1) in &self.joins {
-            fact.data[if side == 0 { c0 } else { c1 }].hash(&mut h);
-        }
-        h.finish()
+        self.sides[side].key_hash(&fact.data)
     }
 }
 
@@ -294,7 +319,7 @@ fn sweep_lists(
     let mut fresh_keys: [FxHashSet<u64>; 2] = [Default::default(), Default::default()];
     if let Some(flags) = fresh {
         for (ai, keys) in fresh_keys.iter_mut().enumerate() {
-            let r = spec.rels[ai].0 as usize;
+            let r = spec.sides[ai].rel.0 as usize;
             for (i, fact) in delta[r].iter().enumerate() {
                 if flags[r][i] && spec.passes(fact, ai) {
                     keys.insert(spec.key_hash(fact, ai));
@@ -307,7 +332,7 @@ fn sweep_lists(
     }
     let mut buckets: FxHashMap<u64, [Vec<Entry>; 2]> = FxHashMap::default();
     for ai in 0..2 {
-        let r = spec.rels[ai].0 as usize;
+        let r = spec.sides[ai].rel.0 as usize;
         let pre_len = pre[r].len();
         match settled.filter(|_| restricted) {
             // The settled partners of the other side's fresh keys, by
@@ -347,7 +372,7 @@ fn sweep_lists(
             buckets.entry(key).or_default()[ai].push((fact.interval, gid, is_fresh));
         }
     }
-    let (ra, rb) = (spec.rels[0], spec.rels[1]);
+    let (ra, rb) = (spec.sides[0].rel, spec.sides[1].rel);
     for [a_side, b_side] in buckets.values_mut() {
         if a_side.is_empty() || b_side.is_empty() {
             continue;
@@ -366,14 +391,10 @@ fn sweep_lists(
                     continue; // singleton image
                 }
                 // Re-check the join columns: bucket keys are hashes.
-                if !spec.joins.is_empty() {
+                if spec.joins() {
                     let fa = fact_at(pre, delta, ra, agid);
                     let fb = fact_at(pre, delta, rb, bgid);
-                    if spec
-                        .joins
-                        .iter()
-                        .any(|&(c0, c1)| fa.data[c0] != fb.data[c1])
-                    {
+                    if !spec.sides[0].agrees(&fa.data, &spec.sides[1], &fb.data) {
                         continue;
                     }
                 }

@@ -14,11 +14,16 @@
 //! * **null base** — the facts an egd rewrite can change, and the
 //!   shared-null components a fragment belongs to;
 //! * **join key** of every sweepable 2-atom body, per atom side — the
-//!   settled partners of a fresh fact in Algorithm 1's overlap sweep.
+//!   settled partners of a fresh fact in Algorithm 1's overlap sweep;
+//! * **link key** of every atom pair of a dependency that shares a
+//!   variable — the facts a narrowing refine's linked component reaches
+//!   (`chase/component.rs`).
 //!
-//! Each key is stored as its hash and each fact as a `u32` *slot*; a hit
-//! is verified against the fact itself, so a collision costs a compare,
-//! never a wrong answer, and no `Arc` is cloned into a key. Slots are
+//! Each key is stored as a 32-bit fold of its hash and each fact as a
+//! `u32` *slot*; a hit is verified against the fact itself, so a
+//! collision costs a compare, never a wrong answer, and no `Arc` is
+//! cloned into a key. Every distinct key is one map: an FD body's two
+//! sides are one key, and a link key equal to a join key shares it. Slots are
 //! stable while the lists are edited in place: a deleted fact frees its
 //! slot and the survivors keep their order, so only the slot → position
 //! table is rewritten, never a hash map.
@@ -28,23 +33,26 @@
 //! edit made through [`Settled`]. A one-batch chase (whose settled blocks
 //! start empty), a restored or cloned session ([`LazyIndex`] clones
 //! empty), and a full re-chase (which resets the session) never pay for
-//! it until they absorb a batch against settled facts.
+//! it until they absorb a batch against settled facts. A journaled
+//! [`Settled`] also records its edits, so a failed component re-chase can
+//! put the lists back exactly ([`Settled::undo`]).
 //!
 //! [`IncrementalExchange`]: crate::chase::incremental::IncrementalExchange
 
-use crate::chase::partitioned::{split_bodies, FactLists, PairSpec};
+use crate::chase::partitioned::{split_bodies, AtomKey, FactLists};
 use std::hash::{Hash, Hasher};
 use tdx_logic::{Atom, RelId, Schema};
 use tdx_storage::fxhash::{FxHashMap, FxHasher};
 use tdx_storage::{NullId, TemporalFact, Value};
 use tdx_temporal::Interval;
 
-/// One key map: key hash → the slots under it. Almost every key holds
-/// one slot, stored inline; a key holding more points (tag bit set) into
-/// `spill`. An entry costs 12 bytes plus the table's overhead.
+/// One key map: key hash, folded to 32 bits → the slots under it. Almost
+/// every key holds one slot, stored inline; a key holding more points (tag
+/// bit set) into `spill`. An entry costs 8 bytes plus the table's
+/// overhead.
 #[derive(Default)]
 struct KeyMap {
-    map: FxHashMap<u64, u32>,
+    map: FxHashMap<u32, u32>,
     spill: Vec<Vec<u32>>,
     /// Emptied `spill` lists, for reuse.
     free: Vec<u32>,
@@ -52,6 +60,12 @@ struct KeyMap {
 
 /// Marks a [`KeyMap`] value as a `spill` index.
 const SPILLED: u32 = 1 << 31;
+
+/// The stored form of a key hash. Hits are verified against the fact, so
+/// the narrower key only adds (rare) collisions.
+fn fold(key: u64) -> u32 {
+    (key >> 32) as u32 ^ key as u32
+}
 
 impl KeyMap {
     fn with_capacity(n: usize) -> KeyMap {
@@ -64,7 +78,7 @@ impl KeyMap {
     fn insert(&mut self, key: u64, slot: u32) {
         use std::collections::hash_map::Entry;
         debug_assert!(slot < SPILLED, "slot space exhausted");
-        match self.map.entry(key) {
+        match self.map.entry(fold(key)) {
             Entry::Vacant(e) => {
                 e.insert(slot);
             }
@@ -89,6 +103,7 @@ impl KeyMap {
     }
 
     fn remove(&mut self, key: u64, slot: u32) {
+        let key = fold(key);
         let Some(v) = self.map.get_mut(&key) else {
             return;
         };
@@ -109,7 +124,7 @@ impl KeyMap {
     }
 
     fn get(&self, key: u64) -> &[u32] {
-        match self.map.get(&key) {
+        match self.map.get(&fold(key)) {
             None => &[],
             Some(v) if *v & SPILLED != 0 => &self.spill[(*v & !SPILLED) as usize],
             Some(v) => std::slice::from_ref(v),
@@ -150,14 +165,18 @@ pub(crate) fn null_bases(data: &[Value]) -> impl Iterator<Item = NullId> + '_ {
 /// Position sentinel of a freed slot.
 const DEAD: u32 = u32::MAX;
 
-/// The four lookups over one settled block (see the module docs).
+/// The lookups over one settled block (see the module docs).
 pub(crate) struct SettledIndex {
-    /// The bodies whose join keys `maps.joins` holds, as compiled.
+    /// The bodies whose join keys the index holds, as compiled.
     bodies: Vec<Vec<Atom>>,
-    specs: Vec<PairSpec>,
-    /// Per spec: whether both atoms select and key facts alike (a
-    /// self-join on the same columns), so one map serves both sides.
-    symmetric: Vec<bool>,
+    /// The distinct keys the index maps: every sweep spec's atom sides
+    /// (a symmetric self-join's two sides are one key), then the block's
+    /// link keys, each once.
+    keys: Vec<AtomKey>,
+    /// Per sweep spec, per atom side: its entry in `keys`.
+    spec_keys: Vec<[usize; 2]>,
+    /// Per link key: its entry in `keys`.
+    link_keys: Vec<usize>,
     /// Slot → `(relation, position)`; position [`DEAD`] once deleted.
     slots: Vec<(u32, u32)>,
     /// Per relation: position → slot.
@@ -171,16 +190,15 @@ struct KeyMaps {
     exact: KeyMap,
     by_interval: KeyMap,
     by_base: KeyMap,
-    /// Per sweep spec, per atom side: join-key hash → slots.
-    joins: Vec<[KeyMap; 2]>,
+    /// Per entry of `SettledIndex::keys`: key hash → slots.
+    keys: Vec<KeyMap>,
 }
 
 impl KeyMaps {
     /// Calls `f` with every `(map, key)` the fact at `rel` belongs in.
     fn each_key(
         &mut self,
-        specs: &[PairSpec],
-        symmetric: &[bool],
+        keys: &[AtomKey],
         rel: RelId,
         fact: &TemporalFact,
         mut f: impl FnMut(&mut KeyMap, u64),
@@ -190,32 +208,52 @@ impl KeyMaps {
         for b in null_bases(&fact.data) {
             f(&mut self.by_base, base_key(b));
         }
-        for (si, spec) in specs.iter().enumerate() {
-            let sides = if symmetric[si] { 1 } else { 2 };
-            for side in 0..sides {
-                if spec.rels[side] == rel && spec.passes(fact, side) {
-                    f(&mut self.joins[si][side], spec.key_hash(fact, side));
-                }
+        for (key, map) in keys.iter().zip(&mut self.keys) {
+            if key.rel == rel && key.passes(&fact.data) {
+                f(map, key.key_hash(&fact.data));
             }
         }
     }
 }
 
+/// The position of `key` in `keys`, appended if new.
+pub(crate) fn key_slot(keys: &mut Vec<AtomKey>, key: &AtomKey) -> usize {
+    keys.iter().position(|k| k == key).unwrap_or_else(|| {
+        keys.push(key.clone());
+        keys.len() - 1
+    })
+}
+
 impl SettledIndex {
-    fn build(schema: &Schema, bodies: &[&[Atom]], lists: &FactLists) -> SettledIndex {
+    fn build(
+        schema: &Schema,
+        bodies: &[&[Atom]],
+        links: &[AtomKey],
+        lists: &FactLists,
+    ) -> SettledIndex {
         let (specs, _) = split_bodies(schema, bodies);
+        let mut keys = Vec::new();
+        let spec_keys = specs
+            .iter()
+            .map(|spec| spec.sides.each_ref().map(|side| key_slot(&mut keys, side)))
+            .collect();
+        let link_keys = links.iter().map(|k| key_slot(&mut keys, k)).collect();
         let n: usize = lists.iter().map(Vec::len).sum();
-        let map = || KeyMap::with_capacity(n);
         let mut idx = SettledIndex {
             bodies: bodies.iter().map(|b| b.to_vec()).collect(),
-            symmetric: specs.iter().map(PairSpec::is_symmetric).collect(),
             maps: KeyMaps {
-                exact: map(),
-                by_interval: map(),
+                exact: KeyMap::with_capacity(n),
+                by_interval: KeyMap::with_capacity(n),
                 by_base: Default::default(),
-                joins: specs.iter().map(|_| [map(), Default::default()]).collect(),
+                // A key only maps facts of its own relation.
+                keys: keys
+                    .iter()
+                    .map(|k| KeyMap::with_capacity(lists[k.rel.0 as usize].len()))
+                    .collect(),
             },
-            specs,
+            keys,
+            spec_keys,
+            link_keys,
             slots: Vec::with_capacity(n),
             slot_at: lists.iter().map(|l| Vec::with_capacity(l.len())).collect(),
             dead: 0,
@@ -238,16 +276,30 @@ impl SettledIndex {
                 .all(|(a, b)| a.as_slice() == *b)
     }
 
+    /// A fresh slot for `fact` in relation `rel`, indexed under every key;
+    /// the caller places it in `slot_at` and sets its position.
+    fn new_slot(&mut self, rel: RelId, fact: &TemporalFact) -> u32 {
+        let slot = self.slots.len() as u32;
+        self.slots.push((rel.0, DEAD));
+        self.maps
+            .each_key(&self.keys, rel, fact, |map, key| map.insert(key, slot));
+        slot
+    }
+
     /// Indexes `fact`, just appended to relation `rel`'s list.
     fn push(&mut self, rel: RelId, fact: &TemporalFact) {
-        let slot = self.slots.len() as u32;
-        let r = rel.0 as usize;
-        self.slots.push((rel.0, self.slot_at[r].len() as u32));
-        self.slot_at[r].push(slot);
-        self.maps
-            .each_key(&self.specs, &self.symmetric, rel, fact, |map, key| {
-                map.insert(key, slot)
-            });
+        let slot = self.new_slot(rel, fact);
+        let at = &mut self.slot_at[rel.0 as usize];
+        self.slots[slot as usize].1 = at.len() as u32;
+        at.push(slot);
+    }
+
+    /// Indexes `facts`, just inserted into relation `rel`'s list at
+    /// `positions` (ascending, in the resulting list).
+    fn insert(&mut self, rel: RelId, positions: &[u32], facts: &[TemporalFact]) {
+        let slots: Vec<u32> = facts.iter().map(|f| self.new_slot(rel, f)).collect();
+        insert_positions(&mut self.slot_at[rel.0 as usize], positions, slots);
+        self.renumber(rel, positions.first().copied());
     }
 
     /// Unindexes the fact at `pos` (still in the list); its slot is freed
@@ -255,9 +307,7 @@ impl SettledIndex {
     fn remove(&mut self, rel: RelId, pos: u32, fact: &TemporalFact) {
         let slot = self.slot_at[rel.0 as usize][pos as usize];
         self.maps
-            .each_key(&self.specs, &self.symmetric, rel, fact, |map, key| {
-                map.remove(key, slot)
-            });
+            .each_key(&self.keys, rel, fact, |map, key| map.remove(key, slot));
         self.slots[slot as usize].1 = DEAD;
         self.dead += 1;
     }
@@ -265,12 +315,20 @@ impl SettledIndex {
     /// Renumbers relation `rel` after the facts at `removed` (ascending)
     /// left its list: the survivors' positions shift down, in order.
     fn compact(&mut self, rel: RelId, removed: &[u32]) {
-        let Some(&first) = removed.first() else {
+        remove_positions(&mut self.slot_at[rel.0 as usize], removed);
+        self.renumber(rel, removed.first().copied());
+    }
+
+    /// Rewrites the positions of relation `rel`'s slots from `from` on.
+    fn renumber(&mut self, rel: RelId, from: Option<u32>) {
+        let Some(first) = from else {
             return;
         };
-        let r = rel.0 as usize;
-        remove_positions(&mut self.slot_at[r], removed);
-        for (p, &slot) in self.slot_at[r].iter().enumerate().skip(first as usize) {
+        for (p, &slot) in self.slot_at[rel.0 as usize]
+            .iter()
+            .enumerate()
+            .skip(first as usize)
+        {
             self.slots[slot as usize].1 = p as u32;
         }
     }
@@ -284,6 +342,16 @@ impl SettledIndex {
             .collect();
         out.sort_unstable();
         out
+    }
+
+    /// Positions under key `ki` whose key hashes to `hash` (ascending;
+    /// verify against the fact).
+    fn under_key(&self, ki: usize, hash: u64) -> Vec<u32> {
+        let rel = self.keys[ki].rel;
+        self.positions(self.maps.keys[ki].get(hash), Some(rel))
+            .into_iter()
+            .map(|(_, p)| p)
+            .collect()
     }
 
     /// Positions in `rel` whose fact may sit at interval `iv` (ascending;
@@ -304,23 +372,38 @@ impl SettledIndex {
     /// Positions on side `side` of sweep spec `spec` whose join key
     /// hashes to `key` (ascending).
     pub(crate) fn join_partners(&self, spec: usize, side: usize, key: u64) -> Vec<u32> {
-        let rel = self.specs[spec].rels[side];
-        let side = if self.symmetric[spec] { 0 } else { side };
-        self.positions(self.maps.joins[spec][side].get(key), Some(rel))
-            .into_iter()
-            .map(|(_, p)| p)
-            .collect()
+        self.under_key(self.spec_keys[spec][side], key)
     }
 
-    /// Positions in `rel` whose fact may equal `(data, iv)` (verify).
-    fn exact_candidates(&self, rel: RelId, data: &[Value], iv: Interval) -> Vec<(RelId, u32)> {
+    /// Positions holding a fact that passes link key `link` (an entry of
+    /// the `links` the index was built with) and whose key hashes to
+    /// `hash` (ascending; verify).
+    pub(crate) fn linked(&self, link: usize, hash: u64) -> Vec<u32> {
+        self.under_key(self.link_keys[link], hash)
+    }
+
+    /// The position of `(data, iv)` in relation `rel` of `lists`, the
+    /// block this index describes, if it holds it.
+    pub(crate) fn position_of(
+        &self,
+        lists: &FactLists,
+        rel: RelId,
+        data: &[Value],
+        iv: Interval,
+    ) -> Option<u32> {
         self.positions(self.maps.exact.get(exact_key(rel, data, iv)), Some(rel))
+            .into_iter()
+            .map(|(_, p)| p)
+            .find(|&p| {
+                let f = &lists[rel.0 as usize][p as usize];
+                f.interval == iv && f.data[..] == *data
+            })
     }
 }
 
 /// A session's handle on a [`SettledIndex`]: unbuilt until first needed,
 /// and unbuilt again in every clone — a clone rebuilds lazily on its first
-/// absorb rather than copying four maps it may never use.
+/// absorb rather than copying maps it may never use.
 #[derive(Default)]
 pub(crate) struct LazyIndex(Option<SettledIndex>);
 
@@ -337,14 +420,28 @@ impl LazyIndex {
     }
 }
 
+/// One edit made through a journaled [`Settled`], with what undoing it
+/// takes.
+pub(crate) enum Edit {
+    /// A fact appended to the relation's list.
+    Push(RelId),
+    /// The facts deleted from the relation's list, with their positions
+    /// (ascending).
+    Delete(RelId, Vec<u32>, Vec<TemporalFact>),
+}
+
 /// A settled block under edit: the lists, the index kept beside them, and
-/// the dependency bodies whose join keys the index holds. Every edit of
-/// the lists goes through it, so a built index never goes stale.
+/// the dependency bodies and link keys the index maps. Every edit of the
+/// lists goes through it, so a built index never goes stale; a journaled
+/// block also records every edit, so [`undo`](Self::undo) can restore
+/// the lists exactly.
 pub(crate) struct Settled<'a> {
     pub(crate) lists: &'a mut FactLists,
     index: &'a mut LazyIndex,
     schema: &'a Schema,
     bodies: &'a [&'a [Atom]],
+    links: &'a [AtomKey],
+    journal: Option<&'a mut Vec<Edit>>,
 }
 
 impl<'a> Settled<'a> {
@@ -353,13 +450,22 @@ impl<'a> Settled<'a> {
         index: &'a mut LazyIndex,
         schema: &'a Schema,
         bodies: &'a [&'a [Atom]],
+        links: &'a [AtomKey],
     ) -> Settled<'a> {
         Settled {
             lists,
             index,
             schema,
             bodies,
+            links,
+            journal: None,
         }
+    }
+
+    /// Records every later edit into `journal`, when given.
+    pub(crate) fn journaled(mut self, journal: Option<&'a mut Vec<Edit>>) -> Settled<'a> {
+        self.journal = journal;
+        self
     }
 
     /// Builds the index if the block is non-empty and has none (or carries
@@ -368,7 +474,12 @@ impl<'a> Settled<'a> {
         let live: usize = self.lists.iter().map(Vec::len).sum();
         let stale = self.index.0.as_ref().is_some_and(|i| i.dead > live.max(64));
         if live > 0 && (self.index.0.is_none() || stale) {
-            self.index.0 = Some(SettledIndex::build(self.schema, self.bodies, self.lists));
+            self.index.0 = Some(SettledIndex::build(
+                self.schema,
+                self.bodies,
+                self.links,
+                self.lists,
+            ));
         }
     }
 
@@ -383,16 +494,8 @@ impl<'a> Settled<'a> {
     /// The position of `(data, iv)` in relation `rel`, if the block holds
     /// it.
     pub(crate) fn position_of(&mut self, rel: RelId, data: &[Value], iv: Interval) -> Option<u32> {
-        let (lists, Some(idx)) = self.parts() else {
-            return None;
-        };
-        idx.exact_candidates(rel, data, iv)
-            .into_iter()
-            .map(|(_, p)| p)
-            .find(|&p| {
-                let f = &lists[rel.0 as usize][p as usize];
-                f.interval == iv && f.data[..] == *data
-            })
+        let (lists, idx) = self.parts();
+        idx?.position_of(lists, rel, data, iv)
     }
 
     /// Whether the block holds exactly `(data, iv)` in `rel`.
@@ -404,6 +507,9 @@ impl<'a> Settled<'a> {
     pub(crate) fn push(&mut self, rel: RelId, fact: TemporalFact) {
         if let Some(idx) = self.index.0.as_mut() {
             idx.push(rel, &fact);
+        }
+        if let Some(journal) = self.journal.as_mut() {
+            journal.push(Edit::Push(rel));
         }
         self.lists[rel.0 as usize].push(fact);
     }
@@ -421,13 +527,42 @@ impl<'a> Settled<'a> {
             }
             idx.compact(rel, positions);
         }
+        if let Some(journal) = self.journal.as_mut() {
+            let gone = positions
+                .iter()
+                .map(|&p| list[p as usize].clone())
+                .collect();
+            journal.push(Edit::Delete(rel, positions.to_vec(), gone));
+        }
         remove_positions(list, positions);
+    }
+
+    /// Reverts `edits` (recorded by a journaled block over the same
+    /// lists), newest first: the lists end exactly as they were before
+    /// the first of them.
+    pub(crate) fn undo(&mut self, edits: Vec<Edit>) {
+        let journal = self.journal.take();
+        for edit in edits.into_iter().rev() {
+            match edit {
+                Edit::Push(rel) => {
+                    let last = self.lists[rel.0 as usize].len() as u32 - 1;
+                    self.delete(rel, &[last]);
+                }
+                Edit::Delete(rel, positions, facts) => {
+                    if let Some(idx) = self.index.0.as_mut() {
+                        idx.insert(rel, &positions, &facts);
+                    }
+                    insert_positions(&mut self.lists[rel.0 as usize], &positions, facts);
+                }
+            }
+        }
+        self.journal = journal;
     }
 }
 
 /// Removes the entries at `positions` (ascending, distinct), keeping the
 /// rest in order.
-fn remove_positions<T>(v: &mut Vec<T>, positions: &[u32]) {
+pub(crate) fn remove_positions<T>(v: &mut Vec<T>, positions: &[u32]) {
     let mut gone = positions.iter().peekable();
     let mut pos = 0u32;
     v.retain(|_| {
@@ -435,6 +570,25 @@ fn remove_positions<T>(v: &mut Vec<T>, positions: &[u32]) {
         pos += 1;
         keep
     });
+}
+
+/// The inverse of [`remove_positions`]: places `items` at `positions`
+/// (ascending, in the resulting vector), the rest keeping their order.
+pub(crate) fn insert_positions<T>(
+    v: &mut Vec<T>,
+    positions: &[u32],
+    items: impl IntoIterator<Item = T>,
+) {
+    let mut rest = std::mem::take(v).into_iter();
+    let mut items = positions.iter().zip(items).peekable();
+    let total = rest.len() + positions.len();
+    v.reserve(total);
+    for p in 0..total as u32 {
+        match items.next_if(|(&q, _)| q == p) {
+            Some((_, item)) => v.push(item),
+            None => v.extend(rest.next()),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -471,13 +625,13 @@ mod tests {
             fact(&[ibm, ada, n1], 10, 12),
         ]];
         let mut lazy = LazyIndex::default();
-        let mut block = Settled::new(&mut lists, &mut lazy, &schema, &bodies);
+        let mut block = Settled::new(&mut lists, &mut lazy, &schema, &bodies, &[]);
         assert!(block.contains(emp, &[ada, ibm, n0], Interval::new(0, 10)));
         block.delete(emp, &[0, 2]);
         block.push(emp, fact(&[ada, ibm, n0], 0, 4));
         block.push(emp, fact(&[ada, ibm, n0], 4, 10));
         let probes = |idx: &SettledIndex| {
-            let key = idx.specs[0].key_hash(&fact(&[ada, ibm, n0], 0, 1), 0);
+            let key = idx.keys[idx.spec_keys[0][0]].key_hash(&[ada, ibm, n0]);
             (
                 idx.at_interval(emp, Interval::new(4, 10)),
                 idx.with_base(NullId(0)),
@@ -492,7 +646,7 @@ mod tests {
         assert_eq!(maintained.3, vec![0, 2, 3]);
         assert!(!block.contains(emp, &[ada, ibm, n0], Interval::new(0, 10)));
         assert!(block.contains(emp, &[ada, ibm, n0], Interval::new(4, 10)));
-        let rebuilt = SettledIndex::build(&schema, &bodies, &lists);
+        let rebuilt = SettledIndex::build(&schema, &bodies, &[], &lists);
         assert_eq!(probes(&rebuilt), maintained);
         assert_eq!(lists[0].len(), 4);
     }
@@ -523,7 +677,7 @@ mod tests {
         let schema = parse_schema("R(a).").unwrap();
         let mut lists: FactLists = vec![vec![fact(&[Value::int(1)], 0, 1)]];
         let mut lazy = LazyIndex::default();
-        Settled::new(&mut lists, &mut lazy, &schema, &[]).parts();
+        Settled::new(&mut lists, &mut lazy, &schema, &[], &[]).parts();
         assert!(lazy.0.is_some());
         assert!(lazy.clone().0.is_none());
     }

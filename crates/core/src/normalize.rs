@@ -193,7 +193,7 @@ pub fn normalize(ic: &TemporalInstance, conjunctions: &[&[Atom]]) -> Result<Temp
     let mut cuts = CutMap::default();
     image_cuts(&images, &pre, &delta, &mut cuts);
     let mut no_index = LazyIndex::default();
-    let mut empty = Settled::new(&mut pre, &mut no_index, &schema, conjunctions);
+    let mut empty = Settled::new(&mut pre, &mut no_index, &schema, conjunctions, &[]);
     let (delta, _) = apply_cuts(&mut empty, &cuts, delta);
     let mut out = TemporalInstance::new(schema);
     for (r, facts) in delta.iter().enumerate() {

@@ -31,5 +31,5 @@ pub use random::{RandomConfig, RandomWorkload};
 pub use sparse::{clustered_instance, ClusteredConfig};
 pub use stream::{
     employment_stream, late_salary_stream, nested_stream, random_stream, sparse_stream,
-    split_stream, BatchOrder, DeltaStream, StreamConfig,
+    split_stream, with_narrowing_refines, BatchOrder, DeltaStream, StreamConfig, StreamStep,
 };

@@ -86,6 +86,54 @@ impl DeltaStream {
     }
 }
 
+/// One commit of a stream replayed with refines
+/// ([`with_narrowing_refines`]).
+#[derive(Clone, Debug, PartialEq)]
+pub enum StreamStep {
+    /// Insert every fact of the instance.
+    Insert(TemporalInstance),
+    /// Assert the row of the relation exactly over the interval,
+    /// superseding every interval the row held: a narrowing refine.
+    Refine(RelId, Row, Interval),
+}
+
+/// The update batches of `stream` as commits, with narrowing refines
+/// mixed in: after every `every`-th batch comes a refine that closes one
+/// committed open-ended fact of `rel`, `[s, ∞)`, to `[s, s + k)` with `k`
+/// drawn from 1..=3 — the refine the `ingest` benchmark stream issues
+/// (there `rel` is `E`: a job gets its real end). The fact is drawn with
+/// `seed` among those the base and the batches so far committed; a batch
+/// after which none is open gets no refine, and `every = 0` adds none.
+/// The base instance is not a step: it seeds the session.
+pub fn with_narrowing_refines(
+    stream: &DeltaStream,
+    rel: RelId,
+    every: usize,
+    seed: u64,
+) -> Vec<StreamStep> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut open: Vec<(Row, u64)> = Vec::new();
+    let note_open = |inst: &TemporalInstance, open: &mut Vec<(Row, u64)>| {
+        for f in inst.facts(rel) {
+            if f.interval.is_unbounded() {
+                open.push((Arc::clone(&f.data), f.interval.start()));
+            }
+        }
+    };
+    note_open(&stream.base, &mut open);
+    let mut steps = Vec::new();
+    for (i, batch) in stream.batches.iter().enumerate() {
+        steps.push(StreamStep::Insert(batch.clone()));
+        note_open(batch, &mut open);
+        if every > 0 && (i + 1) % every == 0 && !open.is_empty() {
+            let (row, start) = open.swap_remove(rng.gen_range(0..open.len()));
+            let end = start + rng.gen_range(1..4u64);
+            steps.push(StreamStep::Refine(rel, row, Interval::new(start, end)));
+        }
+    }
+    steps
+}
+
 /// Splits `full` into a [`DeltaStream`] according to `cfg`.
 pub fn split_stream(
     mapping: SchemaMapping,
@@ -314,5 +362,51 @@ mod tests {
         );
         assert_eq!(sp.batches.len(), 2);
         assert!(sp.mapping.st_tgds().len() == 1);
+    }
+
+    #[test]
+    fn refines_close_committed_open_facts() {
+        let w = EmploymentConfig {
+            persons: 30,
+            horizon: 30,
+            seed: 4,
+            ..EmploymentConfig::default()
+        };
+        let stream = employment_stream(
+            &w,
+            &StreamConfig {
+                batches: 12,
+                batch_fraction: 0.02,
+                order: BatchOrder::TailLocal,
+                seed: 4,
+            },
+        );
+        let e = stream.mapping.source().rel_id("E".into()).unwrap();
+        let steps = with_narrowing_refines(&stream, e, 3, 9);
+        assert_eq!(steps, with_narrowing_refines(&stream, e, 3, 9), "seeded");
+        let mut committed = stream.base.clone();
+        let mut inserts = 0;
+        for step in &steps {
+            match step {
+                StreamStep::Insert(b) => {
+                    inserts += 1;
+                    for (rel, f) in b.iter_all() {
+                        committed.insert(rel, Arc::clone(&f.data), f.interval);
+                    }
+                }
+                StreamStep::Refine(rel, row, iv) => {
+                    assert_eq!(*rel, e);
+                    assert_eq!(inserts % 3, 0, "a refine follows every third batch");
+                    let open = Interval::from(iv.start());
+                    assert!(
+                        committed.contains(e, row, open),
+                        "closes a committed open job"
+                    );
+                    assert!(!iv.is_unbounded() && iv.len() <= Some(3));
+                }
+            }
+        }
+        assert_eq!(inserts, stream.batches.len());
+        assert!(steps.len() > inserts, "the stream has open jobs to close");
     }
 }

@@ -201,6 +201,81 @@ fn incremental_batch_traffic_is_proportional_to_the_batch() {
         .unwrap_or_else(|e| panic!("distributed session disagrees with the abstract chase: {e}"));
 }
 
+/// A narrowing refine on a distributed session re-chases one person's
+/// component through the running cluster: no respawn, no new cluster
+/// (the traffic counters keep counting), and its sync traffic is a small
+/// multiple of an insert commit's, not a re-ship of the store.
+#[test]
+fn narrowing_refine_keeps_the_cluster() {
+    use tdx::workload::{
+        employment_stream, with_narrowing_refines, BatchOrder, StreamConfig, StreamStep,
+    };
+    use tdx::{DeltaBatch, IncrementalExchange};
+    let stream = employment_stream(
+        &EmploymentConfig {
+            persons: 60,
+            companies: 12,
+            horizon: 60,
+            salary_coverage: 0.7,
+            seed: 5,
+            ..EmploymentConfig::default()
+        },
+        &StreamConfig {
+            batches: 12,
+            batch_fraction: 0.004,
+            order: BatchOrder::TailLocal,
+            seed: 5,
+        },
+    );
+    let e = stream.mapping.source().rel_id("E".into()).unwrap();
+    let steps = with_narrowing_refines(&stream, e, 6, 5);
+    let mut session = IncrementalExchange::with_options(
+        stream.mapping.clone(),
+        ChaseOptions::distributed(2).on_transport(TransportKind::Channel),
+    )
+    .unwrap();
+    session
+        .apply(&DeltaBatch::from_instance(&stream.base))
+        .unwrap();
+    let base_bytes = session.cluster_traffic().unwrap().apply_delta_bytes;
+    let (mut insert_bytes, mut refines) = (Vec::new(), 0);
+    for step in &steps {
+        let before = session.cluster_traffic().unwrap();
+        let stats = match step {
+            StreamStep::Insert(inst) => session.apply(&DeltaBatch::from_instance(inst)),
+            StreamStep::Refine(rel, data, iv) => {
+                let mut b = DeltaBatch::new();
+                b.refine(*rel, data.clone(), *iv);
+                session.apply(&b)
+            }
+        }
+        .unwrap();
+        if stats.recoarsened {
+            continue; // a new partition respawns the cluster by design
+        }
+        let after = session.cluster_traffic().unwrap();
+        assert!(after.frames_sent > before.frames_sent, "same cluster");
+        assert_eq!(after.respawns, before.respawns);
+        let bytes = after.apply_delta_bytes - before.apply_delta_bytes;
+        match step {
+            StreamStep::Insert(_) => insert_bytes.push(bytes),
+            StreamStep::Refine(..) => {
+                assert!(!stats.full_rechase);
+                insert_bytes.sort_unstable();
+                let insert = insert_bytes[insert_bytes.len() / 2];
+                assert!(
+                    bytes <= 5 * insert && bytes * 10 < base_bytes,
+                    "refine shipped {bytes} bytes; median insert {insert}, base {base_bytes}"
+                );
+                refines += 1;
+            }
+        }
+    }
+    assert!(refines >= 1, "the stream narrows a job");
+    check_against_abstract_chase(&session.source(), &stream.mapping, Ok(&session.target()))
+        .unwrap();
+}
+
 /// The fused v2 frames collapse a steady-state incremental batch to one
 /// round trip per server per round. The v1 protocol paid a per-batch
 /// heartbeat plus separate `ApplyDelta` and enumeration barriers — at

@@ -11,7 +11,10 @@ use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::OnceLock;
 use tdx::core::{DurableExchange, TransportKind};
-use tdx::workload::{employment_stream, BatchOrder, EmploymentConfig, StreamConfig};
+use tdx::workload::{
+    employment_stream, with_narrowing_refines, BatchOrder, EmploymentConfig, StreamConfig,
+    StreamStep,
+};
 use tdx::{ChaseOptions, DeltaBatch, SchemaMapping};
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -49,6 +52,40 @@ fn inputs() -> (SchemaMapping, Vec<DeltaBatch>) {
     (stream.mapping, batches)
 }
 
+/// An employment stream with a narrowing refine after every other batch,
+/// as inputs in commit order (base first).
+fn refine_inputs() -> (SchemaMapping, Vec<DeltaBatch>) {
+    let stream = employment_stream(
+        &EmploymentConfig {
+            persons: 8,
+            horizon: 16,
+            seed: 3,
+            salary_coverage: 0.7,
+            p_unbounded: 0.9,
+            ..EmploymentConfig::default()
+        },
+        &StreamConfig {
+            batches: 6,
+            batch_fraction: 0.05,
+            order: BatchOrder::TailLocal,
+            seed: 3,
+        },
+    );
+    let e = stream.mapping.source().rel_id("E".into()).unwrap();
+    let mut batches = vec![DeltaBatch::from_instance(&stream.base)];
+    for step in with_narrowing_refines(&stream, e, 2, 3) {
+        batches.push(match step {
+            StreamStep::Insert(inst) => DeltaBatch::from_instance(&inst),
+            StreamStep::Refine(rel, data, iv) => {
+                let mut b = DeltaBatch::new();
+                b.refine(rel, data, iv);
+                b
+            }
+        });
+    }
+    (stream.mapping, batches)
+}
+
 /// Canonical state encodings of every prefix of `batches`:
 /// `states[k]` is the state after committing the first `k` inputs.
 fn prefix_states(
@@ -75,8 +112,32 @@ fn prefix_states(
 #[test]
 fn every_crash_point_recovers_byte_identical() {
     let (mapping, batches) = inputs();
+    every_crash_point(&mapping, &batches);
+}
+
+/// The same over a stream with narrowing refines: a replayed refine
+/// re-chases its component on a session whose indexes the restore
+/// rebuilt, and must land on the same bytes as the live one.
+#[test]
+fn every_crash_point_recovers_byte_identical_across_refines() {
+    let (mapping, batches) = refine_inputs();
+    let refines = batches.len() - 7;
+    assert!(refines >= 2, "the stream narrows jobs: {refines} refines");
+    let mut plain = tdx::IncrementalExchange::new(mapping.clone()).unwrap();
+    for b in &batches {
+        plain.apply(b).unwrap();
+    }
+    assert_eq!(
+        plain.stats().full_rechases,
+        0,
+        "each refine re-chases one person"
+    );
+    every_crash_point(&mapping, &batches);
+}
+
+fn every_crash_point(mapping: &SchemaMapping, batches: &[DeltaBatch]) {
     let opts = ChaseOptions::default();
-    let reference = prefix_states(&mapping, &opts, &batches);
+    let reference = prefix_states(mapping, &opts, batches);
 
     for crash_after in 1..=batches.len() {
         let dir = temp_dir("killpoint");

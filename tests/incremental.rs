@@ -6,12 +6,15 @@
 //! not the session itself, is the reference.
 
 use proptest::prelude::*;
-use tdx::core::check_against_abstract_chase;
+use tdx::core::{check_against_abstract_chase, DurableExchange, TdxError};
+use tdx::logic::{parse_schema, parse_tgd, RelId};
+use tdx::storage::row;
 use tdx::workload::{
-    employment_stream, nested_stream, random_stream, sparse_stream, BatchOrder, ClusteredConfig,
-    DeltaStream, EmploymentConfig, RandomConfig, StreamConfig,
+    employment_stream, nested_stream, random_stream, sparse_stream, with_narrowing_refines,
+    BatchOrder, ClusteredConfig, DeltaStream, EmploymentConfig, RandomConfig, StreamConfig,
+    StreamStep,
 };
-use tdx::{ChaseOptions, DeltaBatch, IncrementalExchange};
+use tdx::{ChaseOptions, DeltaBatch, IncrementalExchange, Interval, SchemaMapping, Value};
 
 /// Replays a stream through a session, checking the oracle after every
 /// batch. Returns `None` when the scenario's union has no solution (the
@@ -212,5 +215,268 @@ fn covering_memo_keeps_refragmented_steps_from_refiring() {
         check_against_abstract_chase(&accumulated, &mapping, Ok(&session.target())).unwrap();
         assert_eq!(stats.tgd_steps, 1, "only st2 fires: {stats:?}");
         assert_eq!(session.stats().nulls_created, 1, "no second null");
+    }
+}
+
+/// A stream commit as a session batch.
+fn to_batch(step: &StreamStep) -> DeltaBatch {
+    match step {
+        StreamStep::Insert(inst) => DeltaBatch::from_instance(inst),
+        StreamStep::Refine(rel, data, iv) => {
+            let mut b = DeltaBatch::new();
+            b.refine(*rel, data.clone(), *iv);
+            b
+        }
+    }
+}
+
+/// The source a session must hold after `step` commits on `source`.
+fn committed(source: &tdx::TemporalInstance, step: &StreamStep) -> tdx::TemporalInstance {
+    match step {
+        StreamStep::Insert(inst) => source.clone_with(inst),
+        StreamStep::Refine(rel, data, iv) => {
+            let mut out = tdx::TemporalInstance::new(source.schema_arc());
+            for (r, f) in source.iter_all() {
+                if r != *rel || f.data != *data {
+                    out.insert(r, std::sync::Arc::clone(&f.data), f.interval);
+                }
+            }
+            out.insert(*rel, data.clone(), *iv);
+            out
+        }
+    }
+}
+
+/// Replays `steps` on top of `stream.base`, checking the oracle after
+/// every commit; stops at the first commit the oracle also fails on.
+/// Returns how many refines re-chased a component and how many fell
+/// back to a full re-chase.
+fn replay_with_refines(
+    stream: &DeltaStream,
+    steps: &[StreamStep],
+    opts: &ChaseOptions,
+) -> (usize, usize) {
+    let mapping = &stream.mapping;
+    let mut session = IncrementalExchange::with_options(mapping.clone(), opts.clone()).unwrap();
+    let base = StreamStep::Insert(stream.base.clone());
+    let (mut component, mut full) = (0, 0);
+    for (i, step) in std::iter::once(&base).chain(steps).enumerate() {
+        let before = session.source();
+        let expected = committed(&before, step);
+        let applied = session.apply(&to_batch(step));
+        let target = session.target();
+        if let Err(e) =
+            check_against_abstract_chase(&expected, mapping, applied.as_ref().map(|_| &target))
+        {
+            panic!("commit {i}: the session disagrees with the abstract chase: {e}");
+        }
+        match applied {
+            Ok(stats) if matches!(step, StreamStep::Refine(..)) => {
+                assert_eq!(session.source(), expected, "commit {i}: refined source");
+                if stats.full_rechase {
+                    full += 1;
+                } else {
+                    component += 1;
+                }
+            }
+            Ok(_) => {}
+            Err(_) => {
+                assert_eq!(session.source(), before, "commit {i}: rolled back");
+                break;
+            }
+        }
+    }
+    (component, full)
+}
+
+/// Random mappings with narrowing refines interleaved into their streams,
+/// on every local engine and on partition servers: after every commit the
+/// session agrees with the abstract chase of the refined source. Random
+/// mappings join every atom on one variable, so most refines re-chase a
+/// component; a component that is the whole state falls back.
+#[test]
+fn random_streams_with_narrowing_refines_agree() {
+    let (mut component, mut full) = (0, 0);
+    for seed in 0..12u64 {
+        let stream = random_stream(
+            &RandomConfig {
+                seed,
+                facts: 30,
+                horizon: 16,
+                domain: 10,
+                p_unbounded: 0.3,
+                ..RandomConfig::default()
+            },
+            &StreamConfig {
+                batches: 6,
+                batch_fraction: 0.06,
+                seed: seed ^ 0xbead,
+                ..StreamConfig::default()
+            },
+        );
+        let steps = with_narrowing_refines(&stream, RelId(0), 2, seed);
+        for opts in [
+            ChaseOptions::default(),
+            ChaseOptions::partitioned_parallel(2),
+            ChaseOptions::distributed(2),
+        ] {
+            let (c, f) = replay_with_refines(&stream, &steps, &opts);
+            component += c;
+            full += f;
+        }
+    }
+    assert!(
+        component > full,
+        "{component} component re-chases, {full} full"
+    );
+}
+
+/// The employment stream the `ingest` benchmark replays, in small: every
+/// refine re-chases one person.
+#[test]
+fn employment_stream_with_narrowing_refines_agrees() {
+    let stream = employment_stream(
+        &EmploymentConfig {
+            persons: 16,
+            horizon: 30,
+            salary_coverage: 0.7,
+            p_unbounded: 0.8,
+            seed: 21,
+            ..EmploymentConfig::default()
+        },
+        &StreamConfig {
+            batches: 12,
+            batch_fraction: 0.02,
+            order: BatchOrder::TailLocal,
+            seed: 21,
+        },
+    );
+    let e = stream.mapping.source().rel_id("E".into()).unwrap();
+    let steps = with_narrowing_refines(&stream, e, 3, 21);
+    for opts in [ChaseOptions::default(), ChaseOptions::distributed(2)] {
+        let (component, full) = replay_with_refines(&stream, &steps, &opts);
+        assert!(component >= 2, "the stream narrows jobs");
+        assert_eq!(full, 0, "one person is never the whole state");
+    }
+}
+
+fn paper_mapping() -> SchemaMapping {
+    let text = std::fs::read_to_string("examples/data/paper.map").unwrap();
+    tdx::parse_mapping(&text).unwrap()
+}
+
+fn rel(mapping: &SchemaMapping, name: &str) -> RelId {
+    mapping.source().rel_id(name.into()).unwrap()
+}
+
+fn strs(vals: &[&str]) -> tdx::storage::Row {
+    row(vals.iter().map(|v| Value::str(v)))
+}
+
+/// A mapping whose dependency relates facts with no value in common,
+/// `R(x) → ∃y T(y)`, has no value links: a narrowing refine re-chases the
+/// whole state, and stays correct.
+#[test]
+fn unlinked_mapping_narrows_by_full_rechase() {
+    let mapping = SchemaMapping::new(
+        parse_schema("R(x).").unwrap(),
+        parse_schema("T(y).").unwrap(),
+        vec![parse_tgd("R(x) -> exists y . T(y)").unwrap()],
+        vec![],
+    )
+    .unwrap();
+    let r = RelId(0);
+    let mut s = IncrementalExchange::new(mapping.clone()).unwrap();
+    let mut b = DeltaBatch::new();
+    b.insert(r, strs(&["a"]), Interval::new(0, 10));
+    b.insert(r, strs(&["b"]), Interval::new(5, 20));
+    s.apply(&b).unwrap();
+    let mut b = DeltaBatch::new();
+    b.refine(r, strs(&["b"]), Interval::new(5, 8));
+    assert!(s.apply(&b).unwrap().full_rechase);
+    assert_eq!(s.stats().full_rechases, 1);
+    check_against_abstract_chase(&s.source(), &mapping, Ok(&s.target())).unwrap();
+}
+
+/// A refine whose component re-chase hits an egd conflict rolls the
+/// session back to its pre-batch state byte for byte, on every engine,
+/// and the session keeps working.
+#[test]
+fn conflicting_refine_rolls_back_byte_identically() {
+    let mapping = paper_mapping();
+    let (e, sal) = (rel(&mapping, "E"), rel(&mapping, "S"));
+    for (k, opts) in [
+        ChaseOptions::default(),
+        ChaseOptions::partitioned_parallel(2),
+        ChaseOptions::distributed(2),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let dir =
+            std::env::temp_dir().join(format!("tdx-refine-rollback-{}-{k}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut s = DurableExchange::open(mapping.clone(), opts, &dir).unwrap();
+        let mut b = DeltaBatch::new();
+        b.insert(e, strs(&["Ada", "IBM"]), Interval::new(0, 10));
+        b.insert(sal, strs(&["Ada", "18k"]), Interval::new(0, 10));
+        b.insert(e, strs(&["Bob", "IBM"]), Interval::new(0, 10));
+        s.apply(&b).unwrap();
+        let before = s.state_bytes();
+        // Narrow Ada's job and assert a second salary over what is left.
+        let mut b = DeltaBatch::new();
+        b.refine(e, strs(&["Ada", "IBM"]), Interval::new(0, 6));
+        b.insert(sal, strs(&["Ada", "20k"]), Interval::new(4, 8));
+        let err = s.apply(&b).unwrap_err();
+        assert!(matches!(err, TdxError::ChaseFailure { .. }), "{err:?}");
+        assert_eq!(s.state_bytes(), before, "rolled back byte for byte");
+        assert_eq!(s.session().stats().full_rechases, 0);
+        let mut b = DeltaBatch::new();
+        b.insert(e, strs(&["Cy", "SAP"]), Interval::new(2, 8));
+        s.apply(&b).unwrap();
+        let session = s.session();
+        check_against_abstract_chase(&session.source(), &mapping, Ok(&session.target())).unwrap();
+        drop(s);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A refine and an insert for the same person in one batch: the insert
+/// joins the re-chased component, and another person's facts stay.
+#[test]
+fn refine_and_insert_for_one_person_in_one_batch() {
+    let mapping = paper_mapping();
+    let (e, sal) = (rel(&mapping, "E"), rel(&mapping, "S"));
+    for opts in [ChaseOptions::default(), ChaseOptions::distributed(2)] {
+        let mut s = IncrementalExchange::with_options(mapping.clone(), opts).unwrap();
+        let mut b = DeltaBatch::new();
+        b.insert(e, strs(&["Ada", "IBM"]), Interval::from(0));
+        b.insert(sal, strs(&["Ada", "18k"]), Interval::new(0, 4));
+        b.insert(e, strs(&["Bob", "SAP"]), Interval::new(0, 9));
+        s.apply(&b).unwrap();
+        let bob = |s: &IncrementalExchange| {
+            let target = s.target();
+            let facts: Vec<String> = target
+                .iter_all()
+                .filter(|(_, f)| f.data[0] == Value::str("Bob"))
+                .map(|(_, f)| format!("{:?}@{}", f.data, f.interval))
+                .collect();
+            facts
+        };
+        let bob_before = bob(&s);
+        // Ada leaves IBM at 6, joins SAP at 6, and earns 20k at SAP.
+        let mut b = DeltaBatch::new();
+        b.refine(e, strs(&["Ada", "IBM"]), Interval::new(0, 6));
+        b.insert(e, strs(&["Ada", "SAP"]), Interval::from(6));
+        b.insert(sal, strs(&["Ada", "20k"]), Interval::new(6, 9));
+        let stats = s.apply(&b).unwrap();
+        assert!(!stats.full_rechase);
+        let source = s.source();
+        assert_eq!(source.total_len(), 5);
+        assert!(source.contains(e, &strs(&["Ada", "IBM"]), Interval::new(0, 6)));
+        check_against_abstract_chase(&source, &mapping, Ok(&s.target())).unwrap();
+        let target = s.target();
+        assert!(target.contains(RelId(0), &strs(&["Ada", "SAP", "20k"]), Interval::new(6, 9)));
+        assert_eq!(bob(&s), bob_before, "Bob's facts, nulls included, stay");
     }
 }
