@@ -14,7 +14,8 @@
 //! body–head and head–head pairs of every tgd, body–body pairs of every
 //! egd. Each pair end is an [`AtomKey`] over the normalized source (body
 //! atoms) or the target (head and egd atoms), which the block's settled
-//! index maps by key hash ([`SettledIndex::linked`]). [`linked_component`]
+//! index maps by key hash ([`SettledIndex::linked`]), directly or through
+//! the map of a narrower key. [`linked_component`]
 //! walks those maps, plus the null-base map of the target, outward from
 //! the normalized facts of some source rows.
 //!
@@ -24,7 +25,7 @@
 //! is the whole state.
 
 use crate::chase::partitioned::{pack_ref, AtomKey, FactLists, PairSpec};
-use crate::chase::settled::{key_slot, null_bases, SettledIndex};
+use crate::chase::settled::{null_bases, SettledIndex};
 use tdx_logic::{Atom, RelId, Schema, SchemaMapping};
 use tdx_storage::fxhash::FxHashSet;
 use tdx_storage::{TemporalFact, Value};
@@ -36,69 +37,73 @@ pub(crate) const TARGET: usize = 1;
 
 /// The value links of a mapping (see the module docs).
 pub(crate) struct Links {
-    /// Per block: the link keys its settled index maps.
+    /// Per block: the link keys its settled index maps. An atom key whose
+    /// columns include another's, with no filter that one lacks, is found
+    /// through that one's map and gets none of its own.
     pub(crate) keys: [Vec<AtomKey>; 2],
-    /// The links, each between two `(block, key)` ends; two facts are
-    /// linked when each passes its end's key and the keys agree.
-    pairs: Vec<[(usize, usize); 2]>,
+    /// The links; two facts are linked when each passes its end's key and
+    /// the keys agree.
+    pairs: Vec<[End; 2]>,
     /// Whether every dependency's atoms connect through shared variables.
     pub(crate) connected: bool,
+}
+
+/// One end of a link.
+struct End {
+    block: usize,
+    key: AtomKey,
+    /// The entry of `Links::keys[block]` whose map finds this end's
+    /// candidates, and the place of each of its key columns in `key`.
+    map: usize,
+    proj: Vec<usize>,
 }
 
 impl Links {
     /// Compiles the links of `mapping`.
     pub(crate) fn compile(mapping: &SchemaMapping) -> Links {
         let schemas = [mapping.source(), mapping.target()];
-        let mut links = Links {
-            keys: [Vec::new(), Vec::new()],
-            pairs: Vec::new(),
-            connected: true,
-        };
-        for tgd in mapping.st_tgds() {
+        let mut pairs: Vec<[(usize, AtomKey); 2]> = Vec::new();
+        let mut connected = true;
+        let tgds = mapping.st_tgds().iter().map(|tgd| {
             let body = tgd.body.iter().map(|a| (a, SOURCE));
-            let head = tgd.head.iter().map(|a| (a, TARGET));
-            links.add_dependency(&body.chain(head).collect::<Vec<_>>(), schemas);
+            body.chain(tgd.head.iter().map(|a| (a, TARGET))).collect()
+        });
+        let egds = mapping
+            .egds()
+            .iter()
+            .map(|egd| egd.body.iter().map(|a| (a, TARGET)).collect());
+        for atoms in tgds.chain(egds) {
+            let atoms: Vec<(&Atom, usize)> = atoms;
+            connected &= add_dependency(&mut pairs, &atoms, schemas);
         }
-        for egd in mapping.egds() {
-            let body: Vec<_> = egd.body.iter().map(|a| (a, TARGET)).collect();
-            links.add_dependency(&body, schemas);
-        }
-        links
-    }
-
-    /// Adds the pairs of one dependency's atoms (each with its block).
-    fn add_dependency(&mut self, atoms: &[(&Atom, usize)], schemas: [&Schema; 2]) {
-        // Connectivity by label propagation: few atoms per dependency.
-        let mut group: Vec<usize> = (0..atoms.len()).collect();
-        for i in 0..atoms.len() {
-            for j in i + 1..atoms.len() {
-                let ((a, ba), (b, bb)) = (atoms[i], atoms[j]);
-                let Some(spec) = PairSpec::compile_across([(a, schemas[ba]), (b, schemas[bb])])
-                else {
-                    self.connected = false;
-                    continue;
-                };
-                if !spec.joins() {
-                    continue;
-                }
-                let (gi, gj) = (group[i], group[j]);
-                for g in &mut group {
-                    if *g == gj {
-                        *g = gi;
-                    }
-                }
-                let [ka, kb] = &spec.sides;
-                let ends = [
-                    (ba, key_slot(&mut self.keys[ba], ka)),
-                    (bb, key_slot(&mut self.keys[bb], kb)),
-                ];
-                if !self.pairs.contains(&ends) && !self.pairs.contains(&[ends[1], ends[0]]) {
-                    self.pairs.push(ends);
-                }
+        // Narrow keys first, so a wider one can be found through them.
+        let mut keys: [Vec<AtomKey>; 2] = [Vec::new(), Vec::new()];
+        let mut distinct: Vec<&(usize, AtomKey)> = pairs.iter().flatten().collect();
+        distinct.sort_by_key(|(_, k)| k.width());
+        for &(b, ref k) in distinct {
+            if !keys[b].iter().any(|m| k.served_by(m).is_some()) {
+                keys[b].push(k.clone());
             }
         }
-        if group.iter().any(|&g| g != group[0]) {
-            self.connected = false;
+        let end = |(block, key): (usize, AtomKey)| {
+            let (map, proj) = keys[block]
+                .iter()
+                .enumerate()
+                .filter_map(|(m, map)| key.served_by(map).map(|proj| (m, proj)))
+                .max_by_key(|(_, proj)| proj.len())
+                .expect("every key is served by itself or a narrower one");
+            End {
+                block,
+                key,
+                map,
+                proj,
+            }
+        };
+        let pairs = pairs.into_iter().map(|ends| ends.map(end)).collect();
+        Links {
+            keys,
+            pairs,
+            connected,
         }
     }
 
@@ -111,6 +116,43 @@ impl Links {
             .iter()
             .position(|k| k.rel == rel && k.passes(data))
     }
+}
+
+/// Adds the links of one dependency's atoms (each with its block) to
+/// `pairs`; whether the atoms connect through shared variables.
+fn add_dependency(
+    pairs: &mut Vec<[(usize, AtomKey); 2]>,
+    atoms: &[(&Atom, usize)],
+    schemas: [&Schema; 2],
+) -> bool {
+    // Connectivity by label propagation: few atoms per dependency.
+    let mut group: Vec<usize> = (0..atoms.len()).collect();
+    let mut compiled = true;
+    for i in 0..atoms.len() {
+        for j in i + 1..atoms.len() {
+            let ((a, ba), (b, bb)) = (atoms[i], atoms[j]);
+            let Some(spec) = PairSpec::compile_across([(a, schemas[ba]), (b, schemas[bb])]) else {
+                compiled = false;
+                continue;
+            };
+            if !spec.joins() {
+                continue;
+            }
+            let (gi, gj) = (group[i], group[j]);
+            for g in &mut group {
+                if *g == gj {
+                    *g = gi;
+                }
+            }
+            let [ka, kb] = spec.sides;
+            let ends = [(ba, ka), (bb, kb)];
+            let reversed = [ends[1].clone(), ends[0].clone()];
+            if !pairs.contains(&ends) && !pairs.contains(&reversed) {
+                pairs.push(ends);
+            }
+        }
+    }
+    compiled && group.iter().all(|&g| g == group[0])
 }
 
 /// One settled block as the search reads it: the lists and their index
@@ -177,21 +219,21 @@ pub(crate) fn linked_component(
         let data = &lists[rel.0 as usize][pos as usize].data;
         for ends in &links.pairs {
             for e in 0..2 {
-                if e == 1 && ends[0] == ends[1] {
+                let (from, to) = (&ends[e], &ends[1 - e]);
+                if e == 1 && from.block == to.block && from.key == to.key {
                     continue; // a self-link: one direction covers it
                 }
-                let ((b, k), (ob, ok)) = (ends[e], ends[1 - e]);
-                let key = &links.keys[b][k];
-                if b != block || key.rel != rel || !key.passes(data) {
+                if from.block != block || from.key.rel != rel || !from.key.passes(data) {
                     continue;
                 }
-                let (olists, Some(oidx)) = blocks[ob] else {
+                let (olists, Some(oidx)) = blocks[to.block] else {
                     continue;
                 };
-                let okey = &links.keys[ob][ok];
-                for q in oidx.linked(ok, key.key_hash(data)) {
-                    if key.agrees(data, okey, &olists[okey.rel.0 as usize][q as usize].data) {
-                        walk.visit(ob, okey.rel, q);
+                let orel = to.key.rel;
+                for q in oidx.linked(to.map, from.key.projected_hash(data, &to.proj)) {
+                    let other = &olists[orel.0 as usize][q as usize].data;
+                    if to.key.passes(other) && from.key.agrees(data, &to.key, other) {
+                        walk.visit(to.block, orel, q);
                     }
                 }
             }

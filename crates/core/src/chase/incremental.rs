@@ -627,7 +627,7 @@ struct Journal {
     memos_added: Vec<(usize, Vec<Value>, Interval)>,
     /// `(tgd, key, intervals)` entries the component's facts carried.
     memos_dropped: Vec<(usize, Vec<Value>, Vec<Interval>)>,
-    /// Raw source facts removed (with their positions), in removal order.
+    /// Raw source facts removed, with their positions, per relation.
     source_removed: Vec<(RelId, Vec<u32>, Vec<TemporalFact>)>,
     /// Raw source lengths before the batch's facts were appended.
     source_lens: Vec<usize>,
@@ -979,8 +979,11 @@ impl IncrementalExchange {
                 "incremental session is poisoned by a failed rollback: {msg}"
             )));
         }
-        // Classify refines: pure widenings ride the incremental path.
+        // Classify refines: pure widenings ride the incremental path. A
+        // narrowing batch takes the positions of every refined row's raw
+        // facts along, per relation.
         let mut inserts: Vec<(RelId, Row, Interval)> = Vec::new();
+        let mut refined: Vec<Vec<u32>> = vec![Vec::new(); self.source.len()];
         let mut narrowing = false;
         for (rel, data, iv) in &batch.inserts {
             self.validate_row(*rel, data)?;
@@ -989,10 +992,13 @@ impl IncrementalExchange {
         for (rel, data, new_iv) in &batch.refines {
             self.validate_row(*rel, data)?;
             let r = rel.0 as usize;
-            let widens = self.source[r]
-                .iter()
-                .filter(|f| f.data == *data)
-                .all(|f| new_iv.covers(&f.interval));
+            let mut widens = true;
+            for (p, f) in self.source[r].iter().enumerate() {
+                if f.data == *data {
+                    refined[r].push(p as u32);
+                    widens &= new_iv.covers(&f.interval);
+                }
+            }
             if widens {
                 inserts.push((*rel, Arc::clone(data), *new_iv));
             } else {
@@ -1000,7 +1006,11 @@ impl IncrementalExchange {
             }
         }
         if narrowing {
-            return self.narrow(batch);
+            for positions in &mut refined {
+                positions.sort_unstable();
+                positions.dedup();
+            }
+            return self.narrow(batch, refined);
         }
         // Record genuinely new facts into the accumulated source.
         let pre_lens: Vec<usize> = self.source.iter().map(|l| l.len()).collect();
@@ -1670,19 +1680,21 @@ impl IncrementalExchange {
     /// a failed re-chase leaves the session byte-identical to its
     /// pre-batch self. A mapping without value links, or a component that
     /// is the whole state, takes [`full_rechase`](Self::full_rechase).
-    fn narrow(&mut self, batch: &DeltaBatch) -> Result<BatchStats> {
+    /// `refined` holds the positions of the refined rows' raw facts, per
+    /// relation, ascending.
+    fn narrow(&mut self, batch: &DeltaBatch, refined: Vec<Vec<u32>>) -> Result<BatchStats> {
         let links = Arc::clone(&self.links);
         if !links.connected {
             return self.full_rechase(batch);
         }
-        let seeds: Vec<(RelId, TemporalFact)> = batch
-            .refines
+        let seeds: Vec<(RelId, TemporalFact)> = refined
             .iter()
-            .flat_map(|(rel, data, _)| {
-                self.source[rel.0 as usize]
+            .enumerate()
+            .flat_map(|(r, positions)| {
+                let list = &self.source[r];
+                positions
                     .iter()
-                    .filter(move |f| f.data == *data)
-                    .map(move |f| (*rel, f.clone()))
+                    .map(move |&p| (RelId(r as u32), list[p as usize].clone()))
             })
             .collect();
         let component = self.with_blocks(None, |mut nsrc, mut tgt| {
@@ -1741,7 +1753,7 @@ impl IncrementalExchange {
                 tgt.delete(RelId(r as u32), ps);
             }
         });
-        let (fresh, batch_facts) = self.swap_refined_rows(batch, &rows, &mut journal);
+        let (fresh, batch_facts) = self.swap_refined_rows(batch, refined, &rows, &mut journal);
         match self.absorb(fresh, batch_facts, Some(&mut journal)) {
             Ok(stats) => {
                 self.stats.batches += 1;
@@ -1756,32 +1768,31 @@ impl IncrementalExchange {
     }
 
     /// Swaps the batch's refined rows in the raw source — each loses every
-    /// interval it held — and appends the batch's new facts, journaling
-    /// both. Returns the facts to absorb: the raw facts of the component's
-    /// source `rows` (per relation) in source order, then the appended
-    /// ones, with the count of the latter.
+    /// interval it held, the facts at `refined` (per relation, ascending)
+    /// — and appends the batch's new facts, journaling both. Returns the
+    /// facts to absorb: the raw facts of the component's source `rows`
+    /// (per relation) in source order, then the appended ones, with the
+    /// count of the latter.
     fn swap_refined_rows(
         &mut self,
         batch: &DeltaBatch,
+        refined: Vec<Vec<u32>>,
         rows: &[FxHashSet<Row>],
         journal: &mut Journal,
     ) -> (FactLists, usize) {
-        for (rel, data, _) in &batch.refines {
-            let list = &mut self.source[rel.0 as usize];
-            let (mut at, mut gone) = (Vec::new(), Vec::new());
-            for (p, f) in list.iter().enumerate() {
-                if f.data == *data {
-                    at.push(p as u32);
-                    gone.push(f.clone());
-                }
+        for (r, at) in refined.into_iter().enumerate() {
+            if at.is_empty() {
+                continue;
             }
+            let list = &mut self.source[r];
+            let gone: Vec<TemporalFact> = at.iter().map(|&p| list[p as usize].clone()).collect();
             remove_positions(list, &at);
             for f in &gone {
                 self.source_set
-                    .remove(&(rel.0, Arc::clone(&f.data), f.interval));
+                    .remove(&(r as u32, Arc::clone(&f.data), f.interval));
                 self.endpoints.remove(f.interval);
             }
-            journal.source_removed.push((*rel, at, gone));
+            journal.source_removed.push((RelId(r as u32), at, gone));
         }
         journal.source_lens = self.source.iter().map(Vec::len).collect();
         let mut added = 0usize;

@@ -109,6 +109,11 @@ pub(crate) struct AtomKey {
 }
 
 impl AtomKey {
+    /// The number of key columns.
+    pub(crate) fn width(&self) -> usize {
+        self.cols.len()
+    }
+
     /// Whether `data` passes the atom's constant and intra-atom equality
     /// filters.
     pub(crate) fn passes(&self, data: &[Value]) -> bool {
@@ -120,12 +125,32 @@ impl AtomKey {
     /// collision only groups unrelated facts, and callers re-check with
     /// [`agrees`](Self::agrees).
     pub(crate) fn key_hash(&self, data: &[Value]) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut h = tdx_storage::fxhash::FxHasher::default();
-        for &c in &self.cols {
-            data[c].hash(&mut h);
+        hash_values(self.cols.iter().map(|&c| &data[c]))
+    }
+
+    /// The hash `map`'s key gives the facts that agree with `data` under
+    /// `self`, where `proj` places `map`'s key columns in `self`'s key
+    /// (see [`served_by`](Self::served_by)).
+    pub(crate) fn projected_hash(&self, data: &[Value], proj: &[usize]) -> u64 {
+        hash_values(proj.iter().map(|&j| &data[self.cols[j]]))
+    }
+
+    /// Whether `map`'s index finds every fact that passes `self`: the
+    /// same relation, no filter `self` lacks, and key columns among
+    /// `self`'s. Returns the place of each of `map`'s key columns in
+    /// `self`'s key.
+    pub(crate) fn served_by(&self, map: &AtomKey) -> Option<Vec<usize>> {
+        if map.rel != self.rel
+            || map.cols.is_empty()
+            || !map.consts.iter().all(|c| self.consts.contains(c))
+            || !map.intra.iter().all(|c| self.intra.contains(c))
+        {
+            return None;
         }
-        h.finish()
+        map.cols
+            .iter()
+            .map(|c| self.cols.iter().position(|x| x == c))
+            .collect()
     }
 
     /// Whether `data`'s key under `self` equals `other_data`'s under
@@ -136,6 +161,15 @@ impl AtomKey {
             .zip(&other.cols)
             .all(|(&a, &b)| data[a] == other_data[b])
     }
+}
+
+fn hash_values<'a>(values: impl Iterator<Item = &'a Value>) -> u64 {
+    use std::hash::{Hash, Hasher};
+    let mut h = tdx_storage::fxhash::FxHasher::default();
+    for v in values {
+        v.hash(&mut h);
+    }
+    h.finish()
 }
 
 /// A 2-atom conjunction compiled for the sweep join: one [`AtomKey`] per
