@@ -814,8 +814,10 @@ pub mod incremental_suite {
 /// `durable_open` is recovery from a compacted snapshot alone;
 /// `recovery_replay` additionally replays one 5% batch from the WAL —
 /// compare both against `c_chase/incremental/employment/from_scratch/100`,
-/// the latency a recovery replaces. Shared between `benches/chase.rs` and
-/// the regression gate like [`engine_suite`].
+/// the latency a recovery replaces. `snapshot_now` is one compaction of
+/// that base: encode, checksum, write + fsync + rename, WAL truncate.
+/// Shared between `benches/chase.rs` and the regression gate like
+/// [`engine_suite`].
 pub mod durability_suite {
     pub use crate::Case;
     use std::path::PathBuf;
@@ -847,7 +849,10 @@ pub mod durability_suite {
     ///   (recovery with nothing to replay);
     /// * `employment/recovery_replay/100` — the same open when one 5%
     ///   batch sits in the WAL past the snapshot (snapshot restore + one
-    ///   batch replayed).
+    ///   batch replayed);
+    /// * `employment/snapshot_now/100` — `DurableExchange::snapshot_now`
+    ///   on a session holding the compacted base: the snapshot commit a
+    ///   durable apply pays every `snapshot_every` batches.
     pub fn cases() -> Vec<Case> {
         let stream = employment_stream(
             &EmploymentConfig {
@@ -885,6 +890,17 @@ pub mod durability_suite {
         s.apply(&batch).expect("seed batch");
         drop(s);
 
+        // A live session over the compacted base, re-compacted per run.
+        let mut compact = DurableExchange::open(
+            mapping.clone(),
+            ChaseOptions::default(),
+            scratch("snapshot_now"),
+        )
+        .expect("open bench session")
+        .snapshot_every(1);
+        compact.apply(&base).expect("seed base");
+        let compact = std::sync::Mutex::new(compact);
+
         // The WAL-append payload a durable apply writes for this batch.
         let payload = Arc::new(encode(&(2u64, batch)));
         let wal_dir = scratch("append");
@@ -902,6 +918,12 @@ pub mod durability_suite {
                 }),
             });
         }
+        out.push(Case {
+            id: "employment/snapshot_now/100".to_string(),
+            run: Box::new(move || {
+                compact.lock().unwrap().snapshot_now().expect("snapshot");
+            }),
+        });
         for (id, dir) in [
             ("employment/durable_open/100", snap_dir),
             ("employment/recovery_replay/100", replay_dir),

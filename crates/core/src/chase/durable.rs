@@ -46,7 +46,7 @@ use crate::error::{Result, TdxError};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use tdx_logic::SchemaMapping;
-use tdx_storage::codec::{decode, encode};
+use tdx_storage::codec::{decode, encode, ByteWriter};
 use tdx_storage::wal::{read_snapshot, replay, write_snapshot, Wal};
 
 /// Default snapshot cadence: compact after this many WAL'd batches.
@@ -183,9 +183,10 @@ impl DurableExchange {
     /// Compacts now: writes the canonical state snapshot atomically
     /// (temp file + rename), then truncates the WAL it subsumes.
     pub fn snapshot_now(&mut self) -> Result<()> {
-        let mut payload = self.seq.to_le_bytes().to_vec();
-        payload.extend_from_slice(&self.inner.encode_state());
-        write_snapshot(&self.state_dir.join("snapshot.bin"), &payload)
+        let mut payload = ByteWriter::new();
+        payload.u64(self.seq);
+        self.inner.encode_state_into(&mut payload);
+        write_snapshot(&self.state_dir.join("snapshot.bin"), &payload.into_bytes())
             .map_err(|e| durable_err("snapshot write", e))?;
         self.snapshot_seq = self.seq;
         self.wal

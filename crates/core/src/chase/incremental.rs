@@ -783,28 +783,42 @@ impl IncrementalExchange {
     /// plans — are rebuilt by [`restore_state`](Self::restore_state).
     pub(crate) fn encode_state(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
+        self.encode_state_into(&mut w);
+        w.into_bytes()
+    }
+
+    /// [`encode_state`](Self::encode_state) appended to `w`, for a caller
+    /// that frames the state inside a larger buffer.
+    pub(crate) fn encode_state_into(&self, w: &mut ByteWriter) {
         w.u32(Self::STATE_VERSION);
         w.u64(self.config_fingerprint());
-        self.source.write(&mut w);
+        self.source.write(w);
         w.u64(self.endpoints_at_cut as u64);
-        self.tp.write(&mut w);
-        self.nsrc.write(&mut w);
-        self.tgt.write(&mut w);
+        self.tp.write(w);
+        self.nsrc.write(w);
+        self.tgt.write(w);
         w.u64(self.memos.len() as u64);
         for memo in &self.memos {
             // Sorted by their `(key, interval)` tuple encoding: the bytes
-            // a memo set of such tuples was always written as.
-            let mut entries: Vec<(&Vec<Value>, Interval)> = memo.entries().collect();
-            entries.sort_by_cached_key(|(key, iv)| {
-                let mut e = ByteWriter::new();
-                key.write(&mut e);
-                iv.write(&mut e);
-                e.into_bytes()
-            });
-            w.u64(entries.len() as u64);
-            for (key, iv) in entries {
-                key.write(&mut w);
-                iv.write(&mut w);
+            // a memo set of such tuples was always written as. Each entry
+            // is encoded once into one scratch buffer and the spans are
+            // sorted by their bytes; the entries are distinct, so no two
+            // spans tie and the unstable sort's order is fixed.
+            let mut scratch = ByteWriter::new();
+            let mut spans: Vec<(usize, usize)> = memo
+                .entries()
+                .map(|(key, iv)| {
+                    let start = scratch.len();
+                    key.write(&mut scratch);
+                    iv.write(&mut scratch);
+                    (start, scratch.len())
+                })
+                .collect();
+            let bytes = scratch.into_bytes();
+            spans.sort_unstable_by_key(|&(start, end)| &bytes[start..end]);
+            w.u64(spans.len() as u64);
+            for (start, end) in spans {
+                w.raw(&bytes[start..end]);
             }
         }
         w.u64(self.nulls.peek());
@@ -812,7 +826,6 @@ impl IncrementalExchange {
         w.u64(self.stats.tgd_steps as u64);
         w.u64(self.stats.egd_merges as u64);
         w.u64(self.stats.full_rechases as u64);
-        w.into_bytes()
     }
 
     /// Restores a snapshot produced by [`encode_state`](Self::encode_state)

@@ -55,6 +55,21 @@ impl ByteWriter {
         self.buf
     }
 
+    /// Bytes written so far.
+    pub fn len(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// Whether nothing has been written yet.
+    pub fn is_empty(&self) -> bool {
+        self.buf.is_empty()
+    }
+
+    /// Appends already-encoded bytes verbatim.
+    pub fn raw(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+    }
+
     /// Writes one raw byte (enum tags).
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);

@@ -34,12 +34,16 @@ const RECORD_HEADER: usize = 8;
 /// Magic prefix of a snapshot file (8 bytes, version baked into the tag).
 const SNAPSHOT_MAGIC: &[u8; 8] = b"TDXSNAP1";
 
-// CRC-32 (IEEE 802.3 polynomial, reflected), table-driven. Implemented
+// CRC-32 (IEEE 802.3 polynomial, reflected), slicing-by-8. Implemented
 // inline because the workspace is offline — no external crc crate — and the
 // codec layer has no checksum of its own: socket transports rely on TCP's,
 // but a file written across a crash does not get that guarantee.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+//
+// `CRC_TABLES[0]` is the classic byte-at-a-time table; `CRC_TABLES[k]`
+// advances a byte through `k` further zero bytes, so one lookup per table
+// folds eight input bytes into the register at once.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -52,17 +56,43 @@ const CRC_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut i = 0;
+    while i < 256 {
+        let mut c = tables[0][i];
+        let mut t = 1;
+        while t < 8 {
+            c = tables[0][(c & 0xFF) as usize] ^ (c >> 8);
+            tables[t][i] = c;
+            t += 1;
+        }
+        i += 1;
+    }
+    tables
 };
 
 /// The CRC-32 (IEEE) checksum of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let [t0, t1, t2, t3, t4, t5, t6, t7] = &CRC_TABLES;
+    let byte = |v: u32, shift: u32| ((v >> shift) & 0xFF) as usize;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let (chunks, rest) = bytes.as_chunks::<8>();
+    for &[b0, b1, b2, b3, b4, b5, b6, b7] in chunks {
+        let lo = c ^ u32::from_le_bytes([b0, b1, b2, b3]);
+        let hi = u32::from_le_bytes([b4, b5, b6, b7]);
+        c = t7[byte(lo, 0)]
+            ^ t6[byte(lo, 8)]
+            ^ t5[byte(lo, 16)]
+            ^ t4[byte(lo, 24)]
+            ^ t3[byte(hi, 0)]
+            ^ t2[byte(hi, 8)]
+            ^ t1[byte(hi, 16)]
+            ^ t0[byte(hi, 24)];
+    }
+    for &b in rest {
+        c = t0[byte(c ^ b as u32, 0)] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -233,25 +263,31 @@ pub fn write_snapshot(path: &Path, payload: &[u8]) -> io::Result<()> {
 /// Reads the snapshot at `path`. `Ok(None)` when no snapshot exists; an
 /// `InvalidData` error when one exists but its magic, length or checksum
 /// does not hold — a corrupt snapshot must fail loudly, never restore a
-/// wrong state.
+/// wrong state. The envelope is read on its own, so the returned payload
+/// is the one buffer the file's bytes were read into.
 pub fn read_snapshot(path: &Path) -> io::Result<Option<Vec<u8>>> {
-    let mut bytes = Vec::new();
-    match File::open(path) {
-        Ok(mut f) => {
-            f.read_to_end(&mut bytes)?;
-        }
+    let mut f = match File::open(path) {
+        Ok(f) => f,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e),
-    }
+    };
     let corrupt = |what: &str| {
         io::Error::new(
             io::ErrorKind::InvalidData,
             format!("corrupt snapshot: {what}"),
         )
     };
-    // Checked splits only: a truncated snapshot is corrupt input to
-    // report, never a slice panic (see `parse_records`).
-    let Some((magic, rest)) = bytes.split_at_checked(SNAPSHOT_MAGIC.len()) else {
+    let mut envelope = [0u8; SNAPSHOT_MAGIC.len() + RECORD_HEADER];
+    match f.read_exact(&mut envelope) {
+        Ok(()) => {}
+        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => {
+            return Err(corrupt("file shorter than its header"));
+        }
+        Err(e) => return Err(e),
+    }
+    // Checked splits only: a damaged envelope is corrupt input to report,
+    // never a slice panic (see `parse_records`).
+    let Some((magic, rest)) = envelope.split_first_chunk::<8>() else {
         return Err(corrupt("file shorter than its header"));
     };
     if magic != SNAPSHOT_MAGIC {
@@ -260,18 +296,23 @@ pub fn read_snapshot(path: &Path) -> io::Result<Option<Vec<u8>>> {
     let Some((len4, rest)) = rest.split_first_chunk::<4>() else {
         return Err(corrupt("file shorter than its header"));
     };
-    let Some((crc4, payload)) = rest.split_first_chunk::<4>() else {
+    let Some((crc4, _)) = rest.split_first_chunk::<4>() else {
         return Err(corrupt("file shorter than its header"));
     };
     let len = u32::from_le_bytes(*len4) as usize;
     let crc = u32::from_le_bytes(*crc4);
-    if len > MAX_FRAME_LEN || payload.len() != len {
+    if len > MAX_FRAME_LEN {
         return Err(corrupt("length prefix does not match file size"));
     }
-    if crc32(payload) != crc {
+    let mut payload = Vec::new();
+    f.read_to_end(&mut payload)?;
+    if payload.len() != len {
+        return Err(corrupt("length prefix does not match file size"));
+    }
+    if crc32(&payload) != crc {
         return Err(corrupt("checksum mismatch"));
     }
-    Ok(Some(payload.to_vec()))
+    Ok(Some(payload))
 }
 
 #[cfg(test)]
@@ -294,6 +335,42 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
+    }
+
+    /// The byte-at-a-time kernel the slicing-by-8 one replaced.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    /// A deterministic xorshift byte buffer.
+    fn seeded_bytes(len: usize, mut state: u64) -> Vec<u8> {
+        (0..len)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 24) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn crc32_matches_the_bytewise_kernel() {
+        // Every length across several 8-byte chunks plus a remainder, at
+        // every alignment of the chunk walk's start.
+        let buf = seeded_bytes(8 + 67, 0x9E37_79B9_7F4A_7C15);
+        for start in 0..8 {
+            for len in 0..=67 {
+                let s = &buf[start..start + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "start {start}, len {len}");
+            }
+        }
+        let big = seeded_bytes(1 << 20, 0xD1B5_4A32_D192_ED03);
+        assert_eq!(crc32(&big), crc32_bytewise(&big));
     }
 
     #[test]

@@ -383,3 +383,66 @@ fn serve_partition_exits_when_the_control_connection_drops() {
         std::thread::sleep(Duration::from_millis(20));
     }
 }
+
+/// The committed golden state directory: `inputs()`'s first two batches
+/// compacted into `snapshot.bin`, the last two in `wal.log` past it.
+fn golden_dir() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/golden_state")
+}
+
+/// Writes the golden state directory into `$TDX_GOLDEN_STATE_OUT`:
+/// `cargo test --test durability -- --ignored write_golden_state_fixture`.
+/// The committed copy was written by the code before the slicing-by-8
+/// checksum and the span-sorted memo encoding; regenerating it with
+/// later code re-pins the format, so do that only on a deliberate
+/// format change (and a `STATE_VERSION` bump).
+#[test]
+#[ignore = "writes the golden fixture; run on a deliberate format change"]
+fn write_golden_state_fixture() {
+    let out = PathBuf::from(std::env::var("TDX_GOLDEN_STATE_OUT").unwrap());
+    let _ = std::fs::remove_dir_all(&out);
+    let (mapping, batches) = inputs();
+    let mut s = DurableExchange::open(mapping, ChaseOptions::default(), &out).unwrap();
+    s.apply(&batches[0]).unwrap();
+    s.apply(&batches[1]).unwrap();
+    assert!(s.session().stats().nulls_created > 0, "the state has nulls");
+    s.snapshot_now().unwrap();
+    s.apply(&batches[2]).unwrap();
+    s.apply(&batches[3]).unwrap();
+    drop(s);
+}
+
+/// The bytes on disk do not move: the golden directory (snapshot with
+/// nulls and memo entries, two WAL records past it) opens under today's
+/// checksum, replays both records, and its snapshot-only state
+/// re-encodes — state bytes and the whole `snapshot.bin` envelope — to
+/// exactly the committed bytes.
+#[test]
+fn golden_state_dir_opens_and_reencodes_byte_identically() {
+    let (mapping, _) = inputs();
+    let golden = golden_dir();
+    let snapshot = std::fs::read(golden.join("snapshot.bin")).unwrap();
+
+    let dir = temp_dir("golden");
+    std::fs::copy(golden.join("snapshot.bin"), dir.join("snapshot.bin")).unwrap();
+    std::fs::copy(golden.join("wal.log"), dir.join("wal.log")).unwrap();
+    let s = DurableExchange::open(mapping.clone(), ChaseOptions::default(), &dir).unwrap();
+    assert_eq!(s.replayed(), 2);
+    assert_eq!(s.committed(), 4);
+    drop(s);
+
+    // Snapshot only: `TDXSNAP1 | len | crc | seq | state`.
+    let snap_dir = temp_dir("golden-snapshot");
+    std::fs::copy(golden.join("snapshot.bin"), snap_dir.join("snapshot.bin")).unwrap();
+    let mut s = DurableExchange::open(mapping, ChaseOptions::default(), &snap_dir).unwrap();
+    assert_eq!((s.replayed(), s.committed()), (0, 2));
+    assert_eq!(s.state_bytes(), snapshot[24..]);
+    s.snapshot_now().unwrap();
+    assert_eq!(
+        std::fs::read(snap_dir.join("snapshot.bin")).unwrap(),
+        snapshot
+    );
+    drop(s);
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&snap_dir);
+}
